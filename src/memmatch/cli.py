@@ -216,10 +216,7 @@ def cmd_sweep(args) -> int:
         values = [v for v in args.values.split(",") if v]
         if not values:
             raise UsageError("--values must list at least one value for a config axis")
-        runs = [
-            (v, replace(base, **{args.axis: dataio._coerce_config_value(args.axis, v)}))
-            for v in values
-        ]
+        runs = [(v, dataio.config_from_entries({args.axis: v}, base)) for v in values]
     header = "name," + metrics.METRIC_CSV_HEADER
     lines = [header]
     print(header)

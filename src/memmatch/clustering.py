@@ -59,11 +59,6 @@ def pairwise_cosine_distance(data) -> DistanceMatrix:
     return DistanceMatrix(dist)
 
 
-def distance_to_text(dist: DistanceMatrix) -> str:
-    """Row-major decimal dump for debugging."""
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in dist.d) + "\n"
-
-
 def dbscan(dist: DistanceMatrix, eps: float, min_samples: int, scope: str = JOINT) -> PseudoLabeling:
     """Classic DBSCAN on a precomputed distance matrix.
 
@@ -200,18 +195,13 @@ def _kmeans(points: np.ndarray, k: int, max_iter: int = 100):
     return centroids, assign, np.array(history)
 
 
-def sub_cluster(
-    embedding_set: EmbeddingSet, labels: PseudoLabeling, n: int, seed: int | None = None
-) -> MultiMemoryBank:
+def sub_cluster(embedding_set: EmbeddingSet, labels: PseudoLabeling, n: int) -> MultiMemoryBank:
     """Split every cluster into up to ``n`` sub-memories via k-means.
 
     A cluster with m < n members yields exactly m occupied sub-memories; the
     remaining slots stay empty (zero occupancy).  Fully deterministic: the
-    farthest-point initialization leaves ``seed`` unused, but the parameter is
-    kept so a randomized initialization could be slotted in without an API
-    change.
+    k-means starts from a farthest-point initialization, so no seed is taken.
     """
-    del seed
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(labels) != len(embedding_set):

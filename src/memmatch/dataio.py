@@ -6,8 +6,9 @@ Floats are written with ``repr`` so a write/read round trip is exact.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_args, get_type_hints
 
 import numpy as np
 
@@ -98,8 +99,9 @@ def _parse_bool(value: str) -> bool:
 def config_from_entries(entries: Mapping[str, str], base: PipelineConfig | None = None) -> PipelineConfig:
     """Build a PipelineConfig from string entries on top of ``base``.
 
-    Unknown keys are rejected with the full list of valid keys so typos are
-    caught immediately.
+    Each value is parsed by its field's type in PipelineConfig.  Unknown
+    keys are rejected with the full list of valid keys so typos are caught
+    immediately.
     """
     cfg = base if base is not None else PipelineConfig()
     updates: dict[str, object] = {}
@@ -112,8 +114,6 @@ def config_from_entries(entries: Mapping[str, str], base: PipelineConfig | None 
             updates[key] = _coerce_config_value(key, raw)
         except ValueError as exc:
             raise DataFormatError(f"config key {key!r}: {exc}") from None
-    from dataclasses import replace
-
     cfg = replace(cfg, **updates)
     problems = cfg.validate()
     if problems:
@@ -121,27 +121,17 @@ def config_from_entries(entries: Mapping[str, str], base: PipelineConfig | None 
     return cfg
 
 
-_INT_KEYS = {
-    "dbscan_min_samples",
-    "n_memories",
-    "epochs",
-    "intra_start_epoch",
-    "inter_start_epoch",
-    "batch_ids",
-    "per_id_visible",
-    "per_id_infrared",
-    "seed",
-}
-_BOOL_KEYS = {"use_matching", "gmm_weighting", "rebuild_memories_per_batch"}
+_FIELD_TYPES = get_type_hints(PipelineConfig)
 
 
 def _coerce_config_value(key: str, raw: str):
-    if key in _INT_KEYS:
+    kind = _FIELD_TYPES[key]
+    if kind is int:
         return int(raw)
-    if key in _BOOL_KEYS:
+    if kind is bool:
         return _parse_bool(raw)
-    if key == "mmd_sigma":
-        return "median" if raw == "median" else float(raw)
+    if raw == "median" and str in get_args(kind):
+        return raw
     return float(raw)
 
 

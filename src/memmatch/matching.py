@@ -2,9 +2,11 @@
 
 The cost between a visible and an infrared cluster sums, over the visible
 sub-memories, the distance to the closest infrared sub-memory.  The binary
-correspondence minimizing total cost under "every infrared cluster exactly
-once, every visible cluster at most once" is found with a shortest
-augmenting path solver (exact, O(P^3)).
+correspondence is solved with the side holding more clusters as rows: it
+minimizes total cost under "every column cluster exactly once, every row
+cluster at most once", found with a shortest augmenting path solver (exact,
+O(P^3)).  Label transfer then moves the row side into the column side's
+label space.
 """
 from __future__ import annotations
 
@@ -12,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NOISE_LABEL, Assignment, MultiMemoryBank, PseudoLabeling
-
-
-class InfeasibleMatchError(ValueError):
-    """The one-match-per-infrared-cluster constraints cannot be satisfied."""
+from .model import Assignment, MultiMemoryBank, PseudoLabeling
 
 
 @dataclass(frozen=True)
@@ -117,59 +115,66 @@ def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
 
 
 def solve_assignment(cost) -> Assignment:
-    """Cost-minimal binary matching covering every infrared cluster once.
+    """Cost-minimal binary matching of the P^v x P^r cost matrix.
 
-    Requires P^v >= P^r; with fewer visible clusters the constraints are
-    unsatisfiable and InfeasibleMatchError is raised (callers may transpose).
+    The side with more clusters becomes the rows: with P^v >= P^r every
+    infrared cluster is matched to one visible cluster; with P^v < P^r the
+    transpose is solved instead, every visible cluster is matched to one
+    infrared cluster, and the returned Assignment is marked ``flipped`` and
+    stores ``q`` and ``cost`` in that transposed orientation.
     """
     m = cost.m if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
     if np.any(np.isnan(m)):
         raise ValueError("cost matrix contains NaN")
-    pv, pr = m.shape
-    if pv < pr:
-        raise InfeasibleMatchError(
-            f"{pr} infrared clusters cannot each be matched to one of {pv} visible clusters"
-        )
-    vis4inf = _shortest_augmenting_path(m.T)
-    q = np.zeros((pv, pr), dtype=np.int8)
-    q[vis4inf, np.arange(pr)] = 1
-    total = float(m[vis4inf, np.arange(pr)].sum())
-    return Assignment(q=q, cost=m, total_cost=total)
+    flipped = m.shape[0] < m.shape[1]
+    if flipped:
+        m = m.T.copy()
+    rows, cols = m.shape
+    row4col = _shortest_augmenting_path(m.T)
+    q = np.zeros((rows, cols), dtype=np.int8)
+    q[row4col, np.arange(cols)] = 1
+    total = float(m[row4col, np.arange(cols)].sum())
+    return Assignment(q=q, cost=m, total_cost=total, flipped=flipped)
 
 
 def transfer_labels(
     vis_labels: PseudoLabeling, inf_labels: PseudoLabeling, assignment: Assignment
-) -> PseudoLabeling:
-    """Re-express the row-side (visible) labels in the column side's space.
+) -> tuple[PseudoLabeling, PseudoLabeling]:
+    """Re-express the row side's labels in the column side's space.
 
-    Samples of a matched visible cluster take the matched infrared cluster's
-    id; unmatched visible clusters get fresh ids P^r, P^r+1, ... in ascending
-    original order.  Noise stays -1.  When the match was solved on the
-    transposed problem (P^v < P^r), call with the arguments swapped.
+    Returns the (visible, infrared) labelings.  The row side is infrared when
+    the assignment is flipped, visible otherwise; the column side comes back
+    unchanged.  Samples of a matched row cluster take the matched column
+    cluster's id; unmatched row clusters get fresh ids P_col, P_col+1, ... in
+    ascending original order.  Noise stays -1.
     """
-    pv, pr = assignment.q.shape
-    if pv != vis_labels.cluster_count or pr != inf_labels.cluster_count:
+    row_labels, col_labels = (inf_labels, vis_labels) if assignment.flipped else (vis_labels, inf_labels)
+    n_rows, n_cols = assignment.q.shape
+    if n_rows != row_labels.cluster_count or n_cols != col_labels.cluster_count:
         raise ValueError("assignment shape does not match the two labelings")
-    mapping = np.full(pv, -1, dtype=np.int64)
+    mapping = np.full(n_rows, -1, dtype=np.int64)
     for p, pp in assignment.pairs():
         mapping[p] = pp
-    fresh = pr
-    for p in range(pv):
+    fresh = n_cols
+    for p in range(n_rows):
         if mapping[p] == -1:
             mapping[p] = fresh
             fresh += 1
-    if len(np.unique(mapping)) != pv:
+    if len(np.unique(mapping)) != n_rows:
         raise RuntimeError("label transfer produced a non-injective cluster map")
-    labels = vis_labels.labels.copy()
+    labels = row_labels.labels.copy()
     keep = labels >= 0
     labels[keep] = mapping[labels[keep]]
-    new_count = pr + (pv - pr)  # every infrared id occupied once, plus fresh ids
-    return PseudoLabeling(scope=vis_labels.scope, labels=labels, cluster_count=new_count)
+    # every column id occupied once, plus one fresh id per unmatched row
+    moved = PseudoLabeling(scope=row_labels.scope, labels=labels, cluster_count=n_rows)
+    return (vis_labels, moved) if assignment.flipped else (moved, inf_labels)
 
 
 def assignment_to_csv(assignment: Assignment) -> str:
-    """`visible_cluster,infrared_cluster,cost` rows for the matched pairs."""
+    """`visible_cluster,infrared_cluster,cost` rows for the matched pairs,
+    whichever side the assignment solved as rows."""
     lines = ["visible_cluster,infrared_cluster,cost"]
     for p, pp in assignment.pairs():
-        lines.append(f"{p},{pp},{float(assignment.cost[p, pp])!r}")
+        vis, inf = (pp, p) if assignment.flipped else (p, pp)
+        lines.append(f"{vis},{inf},{float(assignment.cost[p, pp])!r}")
     return "\n".join(lines) + "\n"

@@ -221,16 +221,18 @@ class MultiMemoryBank:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Binary visible-to-infrared cluster correspondence.
+    """Binary cluster correspondence, rows being the side with more clusters.
 
-    Every infrared column is matched exactly once; every visible row at most
-    once.  Violations raise at construction, so any Assignment that exists is
-    feasible.
+    Rows are visible clusters and columns infrared ones, unless ``flipped``,
+    which swaps the two (the visible side had fewer clusters).  Every column
+    is matched exactly once; every row at most once.  Violations raise at
+    construction, so any Assignment that exists is feasible.
     """
 
     q: np.ndarray
     cost: np.ndarray
     total_cost: float
+    flipped: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "q", _frozen(self.q, np.int8))
@@ -241,19 +243,17 @@ class Assignment:
         if not np.isin(q, (0, 1)).all():
             raise ValueError("q must be binary")
         if not np.all(q.sum(axis=0) == 1):
-            raise ValueError("every infrared cluster must be matched exactly once")
+            raise ValueError("every column cluster must be matched exactly once")
         if not np.all(q.sum(axis=1) <= 1):
-            raise ValueError("a visible cluster may be matched at most once")
+            raise ValueError("a row cluster may be matched at most once")
         recomputed = float((self.cost * q).sum())
         if abs(recomputed - self.total_cost) > 1e-9:
             raise ValueError(f"total_cost {self.total_cost} != matched-cost sum {recomputed}")
 
     def pairs(self) -> list[tuple[int, int]]:
+        """Matched (row, column) index pairs in row order."""
         rows, cols = np.nonzero(self.q)
         return [(int(r), int(c)) for r, c in zip(rows, cols)]
-
-    def visible_to_infrared(self) -> dict[int, int]:
-        return {p: pp for p, pp in self.pairs()}
 
 
 @dataclass(frozen=True)
@@ -305,6 +305,8 @@ class PipelineConfig:
     The boolean switches at the bottom carve out ablation configurations:
     ``use_matching=False`` keeps each modality's labels as-is (identity
     correspondence) and ``gmm_weighting=False`` forces unit confidence.
+    Memories are built once per epoch, at its start.  ``seed`` feeds every
+    named random stream of a run.
     """
 
     tau: float = 0.05
@@ -326,7 +328,6 @@ class PipelineConfig:
     seed: int = 0
     use_matching: bool = True
     gmm_weighting: bool = True
-    rebuild_memories_per_batch: bool = False
 
     def validate(self) -> list[str]:
         out = []

@@ -155,20 +155,6 @@ def intra_alignment(
     return float((residual**2).sum()), grad
 
 
-def intra_loss(
-    vis_features: np.ndarray,
-    vis_labels: np.ndarray,
-    vis_bank: MemoryBank,
-    inf_features: np.ndarray,
-    inf_labels: np.ndarray,
-    inf_bank: MemoryBank,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Two-modality intra alignment: visible term plus infrared term."""
-    lv, gv = intra_alignment(vis_features, vis_labels, vis_bank)
-    lr, gr = intra_alignment(inf_features, inf_labels, inf_bank)
-    return lv + lr, gv, gr
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d, 0.0)

@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import build_memory, cluster_joint, sub_cluster
-from .matching import (
-    CostMatrix,
-    InfeasibleMatchError,
-    multi_memory_cost,
-    solve_assignment,
-    transfer_labels,
-)
+from .matching import multi_memory_cost, solve_assignment, transfer_labels
 from .metrics import RetrievalReport, ari_report, retrieval_eval
 from .model import (
     Assignment,
@@ -33,6 +27,7 @@ from .model import (
     PseudoLabeling,
     concat_sets,
     normalize_rows,
+    validate,
 )
 from .objective import (
     GradientBuffer,
@@ -70,7 +65,12 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class EpochState:
-    """Everything one epoch produced; immutable snapshot."""
+    """Everything one epoch produced; immutable snapshot.
+
+    ``labels_v``/``labels_r`` and the banks live in the shared label space
+    after matching; ``losses`` are the per-batch means (zeros for an
+    evaluation-only pass).
+    """
 
     epoch: int
     visible: EmbeddingSet
@@ -86,7 +86,6 @@ class EpochState:
     multi_v: MultiMemoryBank | None
     multi_r: MultiMemoryBank | None
     assignment: Assignment | None
-    flipped: bool
     id_v: IdLossVector
     id_r: IdLossVector
     id_vr: IdLossVector
@@ -99,6 +98,11 @@ class EpochState:
     losses: LossReport
     metrics: MetricReport | None
     notes: tuple[str, ...]
+
+    @property
+    def flipped(self) -> bool:
+        """Whether matching ran infrared-as-rows (fewer visible clusters)."""
+        return self.assignment is not None and self.assignment.flipped
 
 
 class TrainableEmbeddings:
@@ -180,27 +184,6 @@ def pk_sample(
     return np.concatenate(vis_idx), np.concatenate(inf_idx), np.asarray(chosen), shortfall
 
 
-def _permuted_bank(bank: MemoryBank, mapping: np.ndarray) -> MemoryBank:
-    """Reindex centroids into the post-transfer label space (mapping is the
-    old-cluster -> new-label permutation)."""
-    inverse = np.empty_like(mapping)
-    inverse[mapping] = np.arange(mapping.size)
-    return MemoryBank(scope=bank.scope, centroids=bank.centroids[inverse], counts=bank.counts[inverse])
-
-
-def _transfer_mapping(assignment: Assignment) -> np.ndarray:
-    pv, pr = assignment.q.shape
-    mapping = np.full(pv, -1, dtype=np.int64)
-    for p, pp in assignment.pairs():
-        mapping[p] = pp
-    fresh = pr
-    for p in range(pv):
-        if mapping[p] == -1:
-            mapping[p] = fresh
-            fresh += 1
-    return mapping
-
-
 def _confidence_or_uniform(losses: IdLossVector, cfg: PipelineConfig) -> ConfidenceWeights:
     if not cfg.gmm_weighting:
         return uniform_confidence(losses)
@@ -211,36 +194,34 @@ def _confidence_or_uniform(losses: IdLossVector, cfg: PipelineConfig) -> Confide
     return confidence(losses, fit)
 
 
-@dataclass
-class _Analysis:
-    visible: EmbeddingSet
-    infrared: EmbeddingSet
-    joint: EmbeddingSet
-    labels_v_raw: PseudoLabeling
-    labels_r_raw: PseudoLabeling
-    labels_v: PseudoLabeling
-    labels_r: PseudoLabeling
-    labels_joint: PseudoLabeling
-    bank_v: MemoryBank
-    bank_r: MemoryBank
-    bank_joint: MemoryBank
-    multi_v: MultiMemoryBank | None
-    multi_r: MultiMemoryBank | None
-    assignment: Assignment | None
-    flipped: bool
-    id_v: IdLossVector
-    id_r: IdLossVector
-    id_vr: IdLossVector
-    conf_v: ConfidenceWeights
-    conf_r: ConfidenceWeights
-    conf_vr: ConfidenceWeights
-    wbank_v: MemoryBank
-    wbank_r: MemoryBank
-    wbank_joint: MemoryBank
-    notes: list[str]
+_LOSS_TERMS = ("l_v", "l_r", "l_vr", "l_intra", "l_inter")
 
 
-def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) -> _Analysis:
+def _mean_losses(cfg: PipelineConfig, epoch: int, sums: dict[str, float], n_batches: int) -> LossReport:
+    denom = max(n_batches, 1)
+    return compose_report(
+        **{term: total / denom for term, total in sums.items()},
+        lambda_intra=cfg.lambda_intra,
+        lambda_inter=cfg.lambda_inter,
+        epoch=epoch,
+        intra_start_epoch=cfg.intra_start_epoch,
+        inter_start_epoch=cfg.inter_start_epoch,
+    )
+
+
+def _metric_report(
+    visible: EmbeddingSet, infrared: EmbeddingSet, labels_v: PseudoLabeling, labels_r: PseudoLabeling
+) -> MetricReport | None:
+    if visible.true_identity is None or infrared.true_identity is None:
+        return None
+    rgb, ir, all_ = ari_report(labels_v, labels_r, visible, infrared)
+    retrieval = retrieval_eval(query=infrared, gallery=visible)
+    return MetricReport(ari_rgb=rgb, ari_ir=ir, ari_all=all_, retrieval=retrieval)
+
+
+def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) -> EpochState:
+    """The epoch-start half: cluster, match, weigh and evaluate.  The state
+    returned is that of an evaluation-only pass (zero losses)."""
     visible, infrared = trainable.sets()
     labels_v_raw, labels_r_raw, labels_joint = cluster_joint(visible, infrared, cfg)
     for lab in (labels_v_raw, labels_r_raw, labels_joint):
@@ -248,35 +229,25 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
             raise ClusteringCollapseError(
                 f"epoch {epoch}: clustering produced zero clusters in scope {lab.scope!r}"
             )
-    bank_v_raw = build_memory(visible, labels_v_raw)
-    bank_r_raw = build_memory(infrared, labels_r_raw)
-    joint = concat_sets(visible, infrared)
-    bank_joint = build_memory(joint, labels_joint)
 
-    notes: list[str] = []
-    multi_v = multi_r = None
-    assignment = None
-    flipped = False
+    notes: tuple[str, ...] = ()
+    multi_v = multi_r = assignment = None
     labels_v, labels_r = labels_v_raw, labels_r_raw
-    bank_v, bank_r = bank_v_raw, bank_r_raw
     if cfg.use_matching:
-        multi_v = sub_cluster(visible, labels_v_raw, cfg.n_memories, seed=cfg.seed)
-        multi_r = sub_cluster(infrared, labels_r_raw, cfg.n_memories, seed=cfg.seed)
-        cost = multi_memory_cost(multi_v, multi_r)
-        if labels_v_raw.cluster_count >= labels_r_raw.cluster_count:
-            assignment = solve_assignment(cost)
-            labels_v = transfer_labels(labels_v_raw, labels_r_raw, assignment)
-            bank_v = _permuted_bank(bank_v_raw, _transfer_mapping(assignment))
-        else:
-            assignment = solve_assignment(CostMatrix(cost.m.T))
-            flipped = True
-            labels_r = transfer_labels(labels_r_raw, labels_v_raw, assignment)
-            bank_r = _permuted_bank(bank_r_raw, _transfer_mapping(assignment))
-            notes.append(
+        multi_v = sub_cluster(visible, labels_v_raw, cfg.n_memories)
+        multi_r = sub_cluster(infrared, labels_r_raw, cfg.n_memories)
+        assignment = solve_assignment(multi_memory_cost(multi_v, multi_r))
+        labels_v, labels_r = transfer_labels(labels_v_raw, labels_r_raw, assignment)
+        if assignment.flipped:
+            notes = (
                 f"epoch {epoch}: matching flipped (visible clusters "
                 f"{labels_v_raw.cluster_count} < infrared {labels_r_raw.cluster_count}); "
-                "infrared labels were transferred into the visible space"
+                "infrared labels were transferred into the visible space",
             )
+    joint = concat_sets(visible, infrared)
+    bank_v = build_memory(visible, labels_v)
+    bank_r = build_memory(infrared, labels_r)
+    bank_joint = build_memory(joint, labels_joint)
 
     id_v = id_loss(visible, labels_v, bank_v, cfg.tau)
     id_r = id_loss(infrared, labels_r, bank_r, cfg.tau)
@@ -284,13 +255,10 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
     conf_v = _confidence_or_uniform(id_v, cfg)
     conf_r = _confidence_or_uniform(id_r, cfg)
     conf_vr = _confidence_or_uniform(id_vr, cfg)
-    wbank_v = build_memory(visible, labels_v, conf_v)
-    wbank_r = build_memory(infrared, labels_r, conf_r)
-    wbank_joint = build_memory(joint, labels_joint, conf_vr)
-    return _Analysis(
+    return EpochState(
+        epoch=epoch,
         visible=visible,
         infrared=infrared,
-        joint=joint,
         labels_v_raw=labels_v_raw,
         labels_r_raw=labels_r_raw,
         labels_v=labels_v,
@@ -302,26 +270,19 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
         multi_v=multi_v,
         multi_r=multi_r,
         assignment=assignment,
-        flipped=flipped,
         id_v=id_v,
         id_r=id_r,
         id_vr=id_vr,
         conf_v=conf_v,
         conf_r=conf_r,
         conf_vr=conf_vr,
-        wbank_v=wbank_v,
-        wbank_r=wbank_r,
-        wbank_joint=wbank_joint,
+        wbank_v=build_memory(visible, labels_v, conf_v),
+        wbank_r=build_memory(infrared, labels_r, conf_r),
+        wbank_joint=build_memory(joint, labels_joint, conf_vr),
+        losses=_mean_losses(cfg, epoch, dict.fromkeys(_LOSS_TERMS, 0.0), 0),
+        metrics=_metric_report(visible, infrared, labels_v, labels_r),
         notes=notes,
     )
-
-
-def _metric_report(an: _Analysis) -> MetricReport | None:
-    if an.visible.true_identity is None or an.infrared.true_identity is None:
-        return None
-    rgb, ir, all_ = ari_report(an.labels_v, an.labels_r, an.visible, an.infrared)
-    retrieval = retrieval_eval(query=an.infrared, gallery=an.visible)
-    return MetricReport(ari_rgb=rgb, ari_ir=ir, ari_all=all_, retrieval=retrieval)
 
 
 def batches_per_epoch(cfg: PipelineConfig, n_visible: int, n_infrared: int) -> int:
@@ -337,121 +298,71 @@ def run_epoch(
     train: bool = True,
 ) -> EpochState:
     """One full epoch; with train=False only the analysis/metrics half runs."""
-    an = _analyze(trainable, cfg, epoch)
-    metrics = _metric_report(an)
-    notes = list(an.notes)
+    state = _analyze(trainable, cfg, epoch)
+    if not train:
+        return state
 
-    sums = {"l_v": 0.0, "l_r": 0.0, "l_vr": 0.0, "l_intra": 0.0, "l_inter": 0.0}
-    n_batches = 0
-    if train:
-        wbank_v, wbank_r, wbank_joint = an.wbank_v, an.wbank_r, an.wbank_joint
-        n_vis, n_inf = len(an.visible), len(an.infrared)
-        do_intra = epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0
-        do_inter = epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0
-        n_batches = batches_per_epoch(cfg, n_vis, n_inf)
-        for _ in range(n_batches):
-            vis_idx, inf_idx, used, shortfall = pk_sample(an.labels_v, an.labels_r, cfg, sampler)
-            if shortfall and not any("shortfall" in n for n in notes):
-                notes.append(
-                    f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} "
-                    f"(shortfall {shortfall})"
-                )
-            vis_cur, inf_cur = trainable.sets()
-            fv, fr = vis_cur.features[vis_idx], inf_cur.features[inf_idx]
-            buf_v = GradientBuffer.zeros(n_vis, vis_cur.dim)
-            buf_r = GradientBuffer.zeros(n_inf, inf_cur.dim)
+    n_vis, n_inf = len(state.visible), len(state.infrared)
+    do_intra = epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0
+    do_inter = epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0
+    n_batches = batches_per_epoch(cfg, n_vis, n_inf)
+    sums = dict.fromkeys(_LOSS_TERMS, 0.0)
+    notes: list[str] = []
+    for _ in range(n_batches):
+        vis_idx, inf_idx, used, shortfall = pk_sample(state.labels_v, state.labels_r, cfg, sampler)
+        if shortfall and not notes:  # the shortfall note is the loop's only note
+            notes.append(
+                f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} "
+                f"(shortfall {shortfall})"
+            )
+        vis_cur, inf_cur = trainable.sets()
+        fv, fr = vis_cur.features[vis_idx], inf_cur.features[inf_idx]
+        buf_v = GradientBuffer.zeros(n_vis, vis_cur.dim)
+        buf_r = GradientBuffer.zeros(n_inf, inf_cur.dim)
 
-            l_v, g_v = cluster_nce(fv, an.labels_v.labels[vis_idx], wbank_v, cfg.tau)
-            buf_v.add_rows(vis_idx, g_v)
-            l_r, g_r = cluster_nce(fr, an.labels_r.labels[inf_idx], wbank_r, cfg.tau)
-            buf_r.add_rows(inf_idx, g_r)
+        l_v, g_v = cluster_nce(fv, state.labels_v.labels[vis_idx], state.wbank_v, cfg.tau)
+        buf_v.add_rows(vis_idx, g_v)
+        l_r, g_r = cluster_nce(fr, state.labels_r.labels[inf_idx], state.wbank_r, cfg.tau)
+        buf_r.add_rows(inf_idx, g_r)
 
-            jl_v = an.labels_joint.labels[vis_idx]
-            jl_r = an.labels_joint.labels[n_vis + inf_idx]
-            keep_v, keep_r = jl_v >= 0, jl_r >= 0
-            l_vr = 0.0
-            if keep_v.any() or keep_r.any():
-                feats_vr = np.vstack([fv[keep_v], fr[keep_r]])
-                labs_vr = np.concatenate([jl_v[keep_v], jl_r[keep_r]])
-                l_vr, g_vr = cluster_nce(feats_vr, labs_vr, wbank_joint, cfg.tau)
-                split = int(keep_v.sum())
-                buf_v.add_rows(vis_idx[keep_v], g_vr[:split])
-                buf_r.add_rows(inf_idx[keep_r], g_vr[split:])
+        jl_v = state.labels_joint.labels[vis_idx]
+        jl_r = state.labels_joint.labels[n_vis + inf_idx]
+        keep_v, keep_r = jl_v >= 0, jl_r >= 0
+        l_vr = 0.0
+        if keep_v.any() or keep_r.any():
+            feats_vr = np.vstack([fv[keep_v], fr[keep_r]])
+            labs_vr = np.concatenate([jl_v[keep_v], jl_r[keep_r]])
+            l_vr, g_vr = cluster_nce(feats_vr, labs_vr, state.wbank_joint, cfg.tau)
+            split = int(keep_v.sum())
+            buf_v.add_rows(vis_idx[keep_v], g_vr[:split])
+            buf_r.add_rows(inf_idx[keep_r], g_vr[split:])
 
-            l_intra = 0.0
-            if do_intra:
-                li_v, gi_v = intra_alignment(fv, an.labels_v.labels[vis_idx], wbank_v)
-                li_r, gi_r = intra_alignment(fr, an.labels_r.labels[inf_idx], wbank_r)
-                l_intra = li_v + li_r
-                buf_v.add_rows(vis_idx, cfg.lambda_intra * gi_v)
-                buf_r.add_rows(inf_idx, cfg.lambda_intra * gi_r)
+        l_intra = 0.0
+        if do_intra:
+            li_v, gi_v = intra_alignment(fv, state.labels_v.labels[vis_idx], state.wbank_v)
+            li_r, gi_r = intra_alignment(fr, state.labels_r.labels[inf_idx], state.wbank_r)
+            l_intra = li_v + li_r
+            buf_v.add_rows(vis_idx, cfg.lambda_intra * gi_v)
+            buf_r.add_rows(inf_idx, cfg.lambda_intra * gi_r)
 
-            l_inter = 0.0
-            if do_inter:
-                batch_lv = an.labels_v.labels[vis_idx]
-                batch_lr = an.labels_r.labels[inf_idx]
-                vis_groups = {int(l): fv[batch_lv == l] for l in used}
-                inf_groups = {int(l): fr[batch_lr == l] for l in used}
-                l_inter, vg, ig, _ = inter_loss(vis_groups, inf_groups, cfg.mmd_sigma)
-                for label, grad in vg.items():
-                    buf_v.add_rows(vis_idx[batch_lv == label], cfg.lambda_inter * grad)
-                for label, grad in ig.items():
-                    buf_r.add_rows(inf_idx[batch_lr == label], cfg.lambda_inter * grad)
+        l_inter = 0.0
+        if do_inter:
+            batch_lv = state.labels_v.labels[vis_idx]
+            batch_lr = state.labels_r.labels[inf_idx]
+            vis_groups = {int(l): fv[batch_lv == l] for l in used}
+            inf_groups = {int(l): fr[batch_lr == l] for l in used}
+            l_inter, vg, ig, _ = inter_loss(vis_groups, inf_groups, cfg.mmd_sigma)
+            for label, grad in vg.items():
+                buf_v.add_rows(vis_idx[batch_lv == label], cfg.lambda_inter * grad)
+            for label, grad in ig.items():
+                buf_r.add_rows(inf_idx[batch_lr == label], cfg.lambda_inter * grad)
 
-            trainable.apply_step(buf_v.g, buf_r.g, cfg)
-            if cfg.rebuild_memories_per_batch:
-                vis_new, inf_new = trainable.sets()
-                wbank_v = build_memory(vis_new, an.labels_v, an.conf_v)
-                wbank_r = build_memory(inf_new, an.labels_r, an.conf_r)
-                wbank_joint = build_memory(concat_sets(vis_new, inf_new), an.labels_joint, an.conf_vr)
+        trainable.apply_step(buf_v.g, buf_r.g, cfg)
+        for term, value in zip(_LOSS_TERMS, (l_v, l_r, l_vr, l_intra, l_inter)):
+            sums[term] += value
 
-            sums["l_v"] += l_v
-            sums["l_r"] += l_r
-            sums["l_vr"] += l_vr
-            sums["l_intra"] += l_intra
-            sums["l_inter"] += l_inter
-
-    denom = max(n_batches, 1)
-    losses = compose_report(
-        l_v=sums["l_v"] / denom,
-        l_r=sums["l_r"] / denom,
-        l_vr=sums["l_vr"] / denom,
-        l_intra=sums["l_intra"] / denom,
-        l_inter=sums["l_inter"] / denom,
-        lambda_intra=cfg.lambda_intra,
-        lambda_inter=cfg.lambda_inter,
-        epoch=epoch,
-        intra_start_epoch=cfg.intra_start_epoch,
-        inter_start_epoch=cfg.inter_start_epoch,
-    )
-    return EpochState(
-        epoch=epoch,
-        visible=an.visible,
-        infrared=an.infrared,
-        labels_v_raw=an.labels_v_raw,
-        labels_r_raw=an.labels_r_raw,
-        labels_v=an.labels_v,
-        labels_r=an.labels_r,
-        labels_joint=an.labels_joint,
-        bank_v=an.bank_v,
-        bank_r=an.bank_r,
-        bank_joint=an.bank_joint,
-        multi_v=an.multi_v,
-        multi_r=an.multi_r,
-        assignment=an.assignment,
-        flipped=an.flipped,
-        id_v=an.id_v,
-        id_r=an.id_r,
-        id_vr=an.id_vr,
-        conf_v=an.conf_v,
-        conf_r=an.conf_r,
-        conf_vr=an.conf_vr,
-        wbank_v=an.wbank_v,
-        wbank_r=an.wbank_r,
-        wbank_joint=an.wbank_joint,
-        losses=losses,
-        metrics=metrics,
-        notes=tuple(notes),
+    return replace(
+        state, losses=_mean_losses(cfg, epoch, sums, n_batches), notes=state.notes + tuple(notes)
     )
 
 
@@ -482,10 +393,16 @@ def run_training(
     """Run cfg.epochs epochs then a final evaluation-only pass.
 
     epochs=0 degenerates to a pure evaluation of the initial embeddings.
+    Invalid inputs raise ValueError before any work: a config that fails
+    ``cfg.validate()`` or an embedding set that fails ``validate``.
     """
     problems = cfg.validate()
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
+    for name, embedding_set in (("visible", visible), ("infrared", infrared)):
+        problems = validate(embedding_set)
+        if problems:
+            raise ValueError(f"invalid {name} set: " + "; ".join(problems))
     trainable = TrainableEmbeddings(visible, infrared)
     sampler = named_stream(cfg.seed, "sampler")
     history = []
@@ -519,25 +436,3 @@ def ablation_configs(base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
         ("full", on),
     ]
 
-
-def run_sweep(
-    base: PipelineConfig,
-    axis: str,
-    values: list,
-    visible: EmbeddingSet,
-    infrared: EmbeddingSet,
-) -> list[dict]:
-    """One training per value on a shared seed; rows keep partial results
-    usable even if a later run fails."""
-    rows: list[dict] = []
-    if axis == "ablation":
-        runs = ablation_configs(base)
-    else:
-        from .dataio import _coerce_config_value  # shared coercion rules
-
-        runs = [(str(v), replace(base, **{axis: _coerce_config_value(axis, str(v))})) for v in values]
-    for name, cfg in runs:
-        result = run_training(visible, infrared, cfg)
-        row = {"name": name, "axis": axis, "tags": result.tags, "metrics": result.final_metrics}
-        rows.append(row)
-    return rows

@@ -116,16 +116,14 @@ def _em_trace(data: np.ndarray):
     return means, variances, mix, np.array(history)
 
 
-def fit_gmm2(losses: IdLossVector, seed: int | None = None) -> GmmFit:
+def fit_gmm2(losses: IdLossVector) -> GmmFit:
     """EM fit of a two-component Gaussian mixture to the included losses.
 
     Initialization splits the sorted data at the median (lower half seeds
-    component 0), which is deterministic, so ``seed`` is unused; it is kept
-    for interface stability.  Components are sorted by mean after
-    convergence.  Raises DegenerateLossError when fewer than two distinct
-    values are available.
+    component 0), so the fit is deterministic and takes no seed.  Components
+    are sorted by mean after convergence.  Raises DegenerateLossError when
+    fewer than two distinct values are available.
     """
-    del seed
     data = losses.included_values() if isinstance(losses, IdLossVector) else np.asarray(losses, float)
     if data.shape[0] < 2:
         raise DegenerateLossError("need at least 2 samples to fit; assign uniform confidence 1")

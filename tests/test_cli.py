@@ -202,6 +202,25 @@ def test_sweep_ablation_lattice(data_dir, tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == [
         "baseline", "+mmlm", "+mmlm+intra", "+mmlm+inter", "full",
     ]
+    assert all(cell for l in lines[1:] for cell in l.split(",")[1:])  # every row has metrics
+
+
+def test_sweep_invalid_value_rejected_before_runs(data_dir, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep",
+        "--visible", str(data_dir / "visible.emb"),
+        "--infrared", str(data_dir / "infrared.emb"),
+        "--axis", "n_memories",
+        "--values", "2,0",
+        "--out", str(out),
+        *FAST_CFG,
+        "epochs=1",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "n_memories" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_sweep_unknown_axis_exit_1(data_dir, capsys):

@@ -8,7 +8,6 @@ from memmatch.clustering import (
     build_memory,
     cluster_joint,
     dbscan,
-    distance_to_text,
     pairwise_cosine_distance,
     sub_cluster,
 )
@@ -58,10 +57,6 @@ class TestPairwiseCosineDistance:
         assert np.abs(dm.d - dm.d.T).max() <= 1e-12
         assert np.all(np.diag(dm.d) == 0.0)
         assert dm.d.min() >= 0.0 and dm.d.max() <= 2.0
-
-    def test_text_dump_round_numbers(self):
-        dm = DistanceMatrix(np.array([[0.0, 1.5], [1.5, 0.0]]))
-        assert distance_to_text(dm) == "0.0,1.5\n1.5,0.0\n"
 
 
 class TestDbscan:

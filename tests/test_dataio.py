@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -80,10 +82,21 @@ class TestKvText:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        cfg = PipelineConfig(tau=0.1, n_memories=2, mmd_sigma=1.5, use_matching=False)
+        cfg = PipelineConfig(
+            tau=0.1, dbscan_eps=2.0, dbscan_min_samples=3, n_memories=2,
+            lambda_intra=1.0, lambda_inter=0.25, mmd_sigma=4.0, epochs=7,
+            intra_start_epoch=2, inter_start_epoch=3, batch_ids=5,
+            per_id_visible=6, per_id_infrared=2, learning_rate=1.0, momentum=0.5,
+            weight_decay=0.0, seed=11, use_matching=False, gmm_weighting=False,
+        )
+        default = PipelineConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         path = tmp_path / "cfg.txt"
         path.write_text(config_to_text(cfg))
-        assert read_config(path) == cfg
+        again = read_config(path)
+        assert again == cfg
+        for f in fields(cfg):
+            assert type(getattr(again, f.name)) is type(getattr(cfg, f.name)), f.name
 
     def test_unknown_key_lists_valid_ones(self):
         with pytest.raises(DataFormatError) as err:

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from memmatch.matching import (
     CostMatrix,
-    InfeasibleMatchError,
     assignment_to_csv,
     multi_memory_cost,
     solve_assignment,
@@ -61,11 +60,13 @@ class TestSolveAssignment:
         a = solve_assignment(np.array([[0.0, 5.0], [5.0, 0.0]]))
         assert a.pairs() == [(0, 0), (1, 1)]
         assert a.total_cost == 0.0
+        assert not a.flipped
 
     def test_rectangular_with_slack_row(self):
         a = solve_assignment(np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]))
         assert a.pairs() == [(0, 0), (1, 1)]
         assert a.total_cost == pytest.approx(2.0)
+        assert not a.flipped
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_rectangular_matches_brute_force(self, seed):
@@ -90,9 +91,13 @@ class TestSolveAssignment:
         assert np.array_equal(base.q, shifted.q)
         assert shifted.total_cost == pytest.approx(base.total_cost + shift * 4, abs=1e-8)
 
-    def test_infeasible_when_fewer_visible(self):
-        with pytest.raises(InfeasibleMatchError):
-            solve_assignment(np.ones((2, 3)))
+    def test_fewer_visible_solved_transposed(self):
+        cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0]])
+        a = solve_assignment(cost)
+        assert a.flipped
+        assert np.array_equal(a.cost, cost.T)
+        assert a.q.shape == (3, 2) and np.all(a.q.sum(axis=0) == 1)
+        assert a.total_cost == brute_force_assignment(cost.T)
 
     def test_nan_rejected(self):
         cost = np.ones((2, 2))
@@ -112,22 +117,23 @@ class TestTransferLabels:
         vis = PseudoLabeling.from_labels("v", [0, 0, 1, 1])
         inf = PseudoLabeling.from_labels("r", [0, 1, 1])
         a = solve_assignment(np.array([[0.0, 9.0], [9.0, 0.0]]))
-        out = transfer_labels(vis, inf, a)
+        out, inf_out = transfer_labels(vis, inf, a)
         assert out.labels.tolist() == [0, 0, 1, 1]
         assert out.scope == "v"
+        assert inf_out is inf
 
     def test_cross_assignment_relabels(self):
         vis = PseudoLabeling.from_labels("v", [0, 0, 1, -1])
         inf = PseudoLabeling.from_labels("r", [0, 1])
         a = solve_assignment(np.array([[9.0, 0.0], [0.0, 9.0]]))
-        out = transfer_labels(vis, inf, a)
+        out, _ = transfer_labels(vis, inf, a)
         assert out.labels.tolist() == [1, 1, 0, -1]
 
     def test_unmatched_cluster_gets_fresh_label(self):
         vis = PseudoLabeling.from_labels("v", [0, 1, 2, 0, 1, 2])
         inf = PseudoLabeling.from_labels("r", [0, 1])
         cost = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
-        out = transfer_labels(vis, PseudoLabeling.from_labels("r", [0, 1]), solve_assignment(cost))
+        out, _ = transfer_labels(vis, PseudoLabeling.from_labels("r", [0, 1]), solve_assignment(cost))
         assert out.labels.tolist() == [0, 1, 2, 0, 1, 2]
         assert out.cluster_count == 3
         del inf
@@ -138,12 +144,25 @@ class TestTransferLabels:
         pv, pr = 5, 3
         vis = PseudoLabeling.from_labels("v", np.repeat(np.arange(pv), 2))
         inf = PseudoLabeling.from_labels("r", np.arange(pr))
-        out = transfer_labels(vis, inf, solve_assignment(rng.uniform(0, 1, (pv, pr))))
+        out, _ = transfer_labels(vis, inf, solve_assignment(rng.uniform(0, 1, (pv, pr))))
         before = vis.labels
         after = out.labels
         for i in range(len(before)):
             for j in range(len(before)):
                 assert (before[i] == before[j]) == (after[i] == after[j])
+
+    def test_transposed_moves_infrared_into_visible_space(self):
+        vis = PseudoLabeling.from_labels("v", [0, 1, -1, 1])
+        inf = PseudoLabeling.from_labels("r", [2, 0, 1, 2, -1, 0])
+        # infrared 0 <-> visible 1, infrared 2 <-> visible 0, infrared 1 unmatched
+        cost = np.array([[5.0, 9.0, 0.0], [0.0, 9.0, 5.0]])
+        a = solve_assignment(cost)
+        assert a.flipped
+        vis_out, inf_out = transfer_labels(vis, inf, a)
+        assert vis_out is vis
+        assert inf_out.scope == "r"
+        assert inf_out.labels.tolist() == [0, 1, 2, 0, -1, 1]
+        assert inf_out.cluster_count == 3  # 2 visible ids plus fresh id 2
 
 
 def test_assignment_csv_shape():

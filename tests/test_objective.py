@@ -10,7 +10,6 @@ from memmatch.objective import (
     compose_report,
     inter_loss,
     intra_alignment,
-    intra_loss,
     loss_csv_row,
     median_sigma,
     mmd2,
@@ -101,17 +100,6 @@ class TestIntra:
         analytic = intra_alignment(feats, labels, bank)[1]
         numeric = finite_difference(lambda f: intra_alignment(f, labels, bank)[0], feats)
         assert gradient_gap(analytic, numeric) <= 1e-4
-
-    def test_two_modality_wrapper_sums(self):
-        rng = np.random.default_rng(7)
-        bank_v, bank_r = random_bank(rng, 2, 3), random_bank(rng, 2, 3, scope="r")
-        fv, fr = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
-        lv_labels, lr_labels = rng.integers(0, 2, 4), rng.integers(0, 2, 3)
-        total, gv, gr = intra_loss(fv, lv_labels, bank_v, fr, lr_labels, bank_r)
-        assert total == pytest.approx(
-            intra_alignment(fv, lv_labels, bank_v)[0] + intra_alignment(fr, lr_labels, bank_r)[0]
-        )
-        assert gv.shape == fv.shape and gr.shape == fr.shape
 
 
 class TestMmd2:

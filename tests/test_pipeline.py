@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from memmatch.cli import main
 from memmatch.clustering import build_memory
+from memmatch.dataio import write_embeddings
+from memmatch.matching import assignment_to_csv
 from memmatch.model import EmbeddingSet, PipelineConfig, PseudoLabeling, normalize_rows
 from memmatch.pipeline import (
     ClusteringCollapseError,
@@ -11,12 +14,11 @@ from memmatch.pipeline import (
     config_tags,
     pk_sample,
     run_epoch,
-    run_sweep,
     run_training,
 )
 from memmatch.rng import named_stream
 from memmatch.synth import SynthSpec, generate
-from reference import finite_difference
+from reference import brute_force_assignment, finite_difference
 
 
 def tiny_spec(**overrides):
@@ -178,11 +180,33 @@ class TestRunEpoch:
         )
         result = run_training(vis, inf, cfg)
         state = result.history[0]
-        assert state.flipped
+        assert state.flipped and state.assignment.flipped
         assert any("flipped" in note for note in state.notes)
         assert state.labels_v.cluster_count == 1
         assert state.labels_r.cluster_count == 2  # relabeled into visible space + fresh
         assert np.array_equal(state.labels_v.labels, state.labels_v_raw.labels)
+        rebuilt = build_memory(state.infrared, state.labels_r)
+        assert np.array_equal(state.bank_r.centroids, rebuilt.centroids)
+        assert np.array_equal(state.bank_r.counts, rebuilt.counts)
+        assert state.assignment.total_cost == brute_force_assignment(state.assignment.cost)
+
+    def test_assignment_csv_visible_first_when_flipped(self):
+        vis = circle_set([90, 91, 92, 93, 94], "v", [1] * 5)
+        inf = circle_set([0, 1, 2, 3, 4, 90, 91, 92, 93, 94], "r", [0] * 5 + [1] * 5)
+        cfg = PipelineConfig(
+            epochs=1, dbscan_eps=0.1, dbscan_min_samples=3, batch_ids=2,
+            per_id_visible=2, per_id_infrared=2, n_memories=2, seed=0,
+        )
+        final = run_training(vis, inf, cfg).final
+        assert final.flipped
+        assert final.labels_v_raw.cluster_count == 1
+        # infrared cluster 1 takes visible id 0, infrared cluster 0 the fresh id 1
+        assert np.array_equal(final.labels_r.labels, 1 - final.labels_r_raw.labels)
+        rebuilt = build_memory(final.infrared, final.labels_r)
+        assert np.array_equal(final.bank_r.centroids, rebuilt.centroids)
+        lines = assignment_to_csv(final.assignment).strip().split("\n")
+        assert lines[0] == "visible_cluster,infrared_cluster,cost"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "1"]]
 
     def test_collapse_raises_diagnostic(self):
         rng = np.random.default_rng(0)
@@ -195,6 +219,16 @@ class TestRunEpoch:
 
 
 class TestRunTraining:
+    def test_non_finite_input_rejected(self):
+        vis, inf = generate(tiny_spec())
+        features = vis.features.copy()
+        features[3, 0] = np.nan
+        bad = EmbeddingSet(features=features, modality=vis.modality, true_identity=vis.true_identity)
+        with pytest.raises(ValueError, match="visible.*non-finite"):
+            run_training(bad, inf, tiny_cfg(epochs=1))
+        with pytest.raises(ValueError, match="infrared.*non-finite"):
+            run_training(inf, bad, tiny_cfg(epochs=1))
+
     def test_deterministic_given_seed(self):
         vis, inf = generate(tiny_spec())
         cfg = tiny_cfg(epochs=3)
@@ -245,15 +279,35 @@ class TestRunTraining:
         assert batches_per_epoch(cfg, 10, 10) == 1
 
 
-class TestSweep:
-    def test_ablation_lattice_shape(self):
-        vis, inf = generate(tiny_spec())
-        rows = run_sweep(tiny_cfg(epochs=1), "ablation", [], vis, inf)
-        assert [r["name"] for r in rows] == ["baseline", "+mmlm", "+mmlm+intra", "+mmlm+inter", "full"]
-        assert all(r["metrics"] is not None for r in rows)
 
-    def test_axis_sweep(self):
+class TestSweep:
+    """The sweep is run through the ``sweep`` command, on tiny_spec data
+    with tiny_cfg(epochs=1)."""
+
+    def sweep_rows(self, tmp_path, axis, values=None):
         vis, inf = generate(tiny_spec())
-        rows = run_sweep(tiny_cfg(epochs=1), "n_memories", [1, 2], vis, inf)
+        write_embeddings(tmp_path / "visible.emb", vis)
+        write_embeddings(tmp_path / "infrared.emb", inf)
+        argv = [
+            "sweep",
+            "--visible", str(tmp_path / "visible.emb"),
+            "--infrared", str(tmp_path / "infrared.emb"),
+            "--axis", axis,
+            "--out", str(tmp_path / "sweep"),
+        ]
+        if values is not None:
+            argv += ["--values", values]
+        argv += ["epochs=1", "batch_ids=4", "inter_start_epoch=1", "seed=3"]
+        assert main(argv) == 0
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().strip().split("\n")
+        return [line.split(",") for line in lines[1:]]
+
+    def test_ablation_lattice_shape(self, tmp_path):
+        rows = self.sweep_rows(tmp_path, "ablation")
+        assert [r[0] for r in rows] == ["baseline", "+mmlm", "+mmlm+intra", "+mmlm+inter", "full"]
+        assert all(all(cell for cell in r[1:]) for r in rows)  # every row has metrics
+
+    def test_axis_sweep(self, tmp_path):
+        rows = self.sweep_rows(tmp_path, "n_memories", "1,2")
         assert len(rows) == 2
-        assert rows[0]["name"] == "1"
+        assert rows[0][0] == "1"
