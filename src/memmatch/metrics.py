@@ -61,7 +61,8 @@ def ari_fraction(labels_a, labels_b) -> Fraction:
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     table = ContingencyTable.from_labels(_noise_to_singletons(a), _noise_to_singletons(b))
-    index = sum(comb(int(nij), 2) for nij in table.counts.ravel())
+    # only cells holding at least one pair contribute; most cells are empty
+    index = sum(comb(int(nij), 2) for nij in table.counts[table.counts >= 2])
     sum_a = sum(comb(int(ai), 2) for ai in table.row_marginals)
     sum_b = sum(comb(int(bj), 2) for bj in table.col_marginals)
     total_pairs = comb(table.total, 2)

@@ -18,6 +18,8 @@ from .clustering import build_memory, cluster_joint, sub_cluster
 from .matching import multi_memory_cost, solve_assignment, transfer_labels
 from .metrics import RetrievalReport, ari_report, retrieval_eval
 from .model import (
+    INFRARED,
+    VISIBLE,
     Assignment,
     ConfidenceWeights,
     EmbeddingSet,
@@ -394,15 +396,22 @@ def run_training(
 
     epochs=0 degenerates to a pure evaluation of the initial embeddings.
     Invalid inputs raise ValueError before any work: a config that fails
-    ``cfg.validate()`` or an embedding set that fails ``validate``.
+    ``cfg.validate()``, an embedding set that fails ``validate``, or a set
+    with a row not tagged with its own modality (swapped inputs).
     """
     problems = cfg.validate()
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-    for name, embedding_set in (("visible", visible), ("infrared", infrared)):
+    sets = (("visible", visible, VISIBLE), ("infrared", infrared, INFRARED))
+    for name, embedding_set, _ in sets:
         problems = validate(embedding_set)
         if problems:
             raise ValueError(f"invalid {name} set: " + "; ".join(problems))
+    for name, embedding_set, tag in sets:
+        wrong = np.flatnonzero(embedding_set.modality != tag)
+        if wrong.size:
+            row, found = wrong[0], str(embedding_set.modality[wrong[0]])
+            raise ValueError(f"invalid {name} set: row {row} has modality tag {found!r}, expected {tag!r}")
     trainable = TrainableEmbeddings(visible, infrared)
     sampler = named_stream(cfg.seed, "sampler")
     history = []

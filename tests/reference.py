@@ -63,6 +63,25 @@ def brute_force_assignment(cost: np.ndarray) -> float:
     return best
 
 
+def naive_multi_memory_cost(vis_memories, vis_occupancy, inf_memories, inf_occupancy) -> np.ndarray:
+    """cost[p][q]: over the occupied visible slots of cluster p, the sum of
+    the Euclidean distance to the nearest occupied infrared slot of q."""
+    cost = np.zeros((len(vis_memories), len(inf_memories)))
+    for p in range(len(vis_memories)):
+        for q in range(len(inf_memories)):
+            total = 0.0
+            for i in range(len(vis_memories[p])):
+                if not vis_occupancy[p][i]:
+                    continue
+                nearest = math.inf
+                for j in range(len(inf_memories[q])):
+                    if inf_occupancy[q][j]:
+                        nearest = min(nearest, math.dist(list(vis_memories[p][i]), list(inf_memories[q][j])))
+                total += nearest
+            cost[p][q] = total
+    return cost
+
+
 def _noise_as_singletons(labels) -> list[int]:
     out = list(labels)
     nxt = max([l for l in out if l >= 0], default=-1) + 1

@@ -235,6 +235,18 @@ def test_sweep_unknown_axis_exit_1(data_dir, capsys):
     assert "axis" in capsys.readouterr().err
 
 
+def test_train_swapped_modalities_exit_2(data_dir, tmp_path, capsys):
+    args = [
+        "train",
+        "--visible", str(data_dir / "infrared.emb"),
+        "--infrared", str(data_dir / "visible.emb"),
+        "--out", str(tmp_path / "x"),
+        *FAST_CFG,
+    ]
+    assert main(args) == 2
+    assert "visible set: row 0 has modality tag 'r'" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     code = main(["eval", "--visible", "/does/not/exist", "--infrared", "/nor/this"])
     assert code == 2

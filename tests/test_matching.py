@@ -10,7 +10,7 @@ from memmatch.matching import (
     transfer_labels,
 )
 from memmatch.model import MultiMemoryBank, PseudoLabeling
-from reference import brute_force_assignment
+from reference import brute_force_assignment, naive_multi_memory_cost
 
 
 def bank_from_lists(clusters, scope="v", n=None):
@@ -54,6 +54,28 @@ class TestMultiMemoryCost:
         cost = multi_memory_cost(vis, inf)
         assert cost.m[0, 0] == pytest.approx(np.sqrt(2.0))
 
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 5),
+    )
+    def test_matches_naive_loops(self, seed, pv, pr, nv, nr, d):
+        rng = np.random.default_rng(seed)
+
+        def random_bank(p, n, scope):
+            # ragged, non-prefix occupancy; empty slots hold live-looking vectors
+            occupancy = rng.random((p, n)) < 0.5
+            occupancy[np.arange(p), rng.integers(0, n, p)] = True
+            memories = rng.standard_normal((p, n, d))
+            return MultiMemoryBank(scope=scope, memories=memories, occupancy=occupancy.astype(int))
+
+        vis, inf = random_bank(pv, nv, "v"), random_bank(pr, nr, "r")
+        expected = naive_multi_memory_cost(vis.memories, vis.occupancy, inf.memories, inf.occupancy)
+        np.testing.assert_allclose(multi_memory_cost(vis, inf).m, expected, rtol=1e-12, atol=0)
+
 
 class TestSolveAssignment:
     def test_diagonal_optimum(self):
@@ -75,12 +97,21 @@ class TestSolveAssignment:
         a = solve_assignment(cost)
         assert a.total_cost == pytest.approx(brute_force_assignment(cost), abs=1e-9)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_integer_costs_exact(self, seed):
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [pytest.param(seed, (5, 5), id=str(seed)) for seed in range(8)]
+        + [
+            pytest.param(seed, shape, id=f"{shape[0]}x{shape[1]}-{seed}")
+            for shape in ((6, 4), (4, 6))
+            for seed in range(8)
+        ],
+    )
+    def test_integer_costs_exact(self, seed, shape):
+        # integer costs tie often, which is where solvers' pivot rules differ
         rng = np.random.default_rng(100 + seed)
-        cost = rng.integers(0, 7, size=(5, 5)).astype(float)
+        cost = rng.integers(0, 7, size=shape).astype(float)
         a = solve_assignment(cost)
-        assert a.total_cost == brute_force_assignment(cost)
+        assert a.total_cost == brute_force_assignment(cost if shape[0] >= shape[1] else cost.T)
 
     @given(st.integers(0, 10_000), st.floats(min_value=0.0, max_value=50.0))
     def test_constant_shift_preserves_argmin(self, seed, shift):
@@ -104,6 +135,26 @@ class TestSolveAssignment:
         cost[0, 1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             solve_assignment(cost)
+
+    @pytest.mark.parametrize(
+        "cost", [np.full((2, 2), np.inf), [[-1, 2], [3, -4]]], ids=["all-inf", "negative"]
+    )
+    def test_raw_array_validated_as_cost_matrix(self, cost):
+        with pytest.raises(ValueError, match="cost matrix entries"):
+            solve_assignment(cost)
+
+    @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+    @pytest.mark.parametrize("p", [50, 300])
+    def test_matches_scipy(self, p, shape):
+        optimize = pytest.importorskip("scipy.optimize")
+        rows, cols = {"square": (p, p), "tall": (p, p * 2 // 3), "wide": (p * 2 // 3, p)}[shape]
+        cost = np.random.default_rng(p).uniform(0, 10, size=(rows, cols))
+        a = solve_assignment(cost)
+        assert a.flipped == (shape == "wide")
+        r, c = optimize.linear_sum_assignment(cost)
+        assert a.total_cost == pytest.approx(cost[r, c].sum(), abs=1e-9)
+        pairs = [(col, row) if a.flipped else (row, col) for row, col in a.pairs()]
+        assert sorted(pairs) == list(zip(r.tolist(), c.tolist()))
 
     def test_deterministic_under_ties(self):
         cost = np.zeros((4, 3))
@@ -137,6 +188,13 @@ class TestTransferLabels:
         assert out.labels.tolist() == [0, 1, 2, 0, 1, 2]
         assert out.cluster_count == 3
         del inf
+
+    def test_fresh_labels_in_ascending_original_order(self):
+        vis = PseudoLabeling.from_labels("v", [0, 1, 2, 3, 3, 2, 1, 0])
+        inf = PseudoLabeling.from_labels("r", [0, 0])
+        cost = np.array([[5.0], [5.0], [0.0], [5.0]])  # visible 2 <-> infrared 0
+        out, _ = transfer_labels(vis, inf, solve_assignment(cost))
+        assert out.labels.tolist() == [1, 2, 0, 3, 3, 0, 2, 1]
 
     @given(st.integers(0, 10_000))
     def test_partition_structure_preserved(self, seed):

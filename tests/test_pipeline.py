@@ -229,6 +229,16 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="infrared.*non-finite"):
             run_training(inf, bad, tiny_cfg(epochs=1))
 
+    def test_swapped_modalities_rejected(self):
+        vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
+        with pytest.raises(ValueError, match="visible set: row 0 has modality tag 'r', expected 'v'"):
+            run_training(inf, vis, tiny_cfg(epochs=1))
+        tags = inf.modality.copy()
+        tags[5] = "v"
+        mixed = EmbeddingSet(features=inf.features, modality=tags, true_identity=inf.true_identity)
+        with pytest.raises(ValueError, match="infrared set: row 5 has modality tag 'v', expected 'r'"):
+            run_training(vis, mixed, tiny_cfg(epochs=1))
+
     def test_deterministic_given_seed(self):
         vis, inf = generate(tiny_spec())
         cfg = tiny_cfg(epochs=3)
