@@ -1,7 +1,9 @@
 """Pseudo-label generation and cluster memory construction.
 
 DBSCAN runs on a precomputed cosine-distance matrix so callers can swap in
-any other metric.  Memories are plain per-cluster means; sub-clustering
+any other metric; the per-modality scopes cluster the diagonal blocks of the
+one joint matrix (equal to each modality's own matrix up to a few ulp of
+BLAS rounding).  Memories are plain per-cluster means; sub-clustering
 splits each cluster into up to ``n`` sub-memories with a deterministic
 k-means (farthest-point init, Lloyd iterations).
 """
@@ -28,20 +30,14 @@ _UNVISITED = -2
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric non-negative pairwise distances with a zero diagonal."""
+    """Square distances, held as a read-only view of the caller's array."""
 
     d: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.d, dtype=float)
+        arr = np.asarray(self.d, dtype=float).view()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distance matrix must be square")
-        if np.abs(arr - arr.T).max(initial=0.0) > 1e-12:
-            raise ValueError("distance matrix must be symmetric within 1e-12")
-        if np.abs(np.diag(arr)).max(initial=0.0) != 0.0:
-            raise ValueError("distance matrix diagonal must be exactly zero")
-        if arr.size and arr.min() < 0:
-            raise ValueError("distances must be non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "d", arr)
 
@@ -49,9 +45,9 @@ class DistanceMatrix:
         return int(self.d.shape[0])
 
 
-def pairwise_cosine_distance(data) -> DistanceMatrix:
-    """1 - <f_i, f_j> for unit rows; values in [0, 2], exact zero diagonal."""
-    feats = data.features if isinstance(data, EmbeddingSet) else np.asarray(data, float)
+def pairwise_cosine_distance(feats: np.ndarray) -> DistanceMatrix:
+    """1 - <f_i, f_j> for unit rows: exactly symmetric, in [0, 2], zero diagonal."""
+    feats = np.asarray(feats, dtype=float)
     sims = feats @ feats.T
     dist = 1.0 - 0.5 * (sims + sims.T)  # symmetrize against BLAS roundoff
     np.clip(dist, 0.0, 2.0, out=dist)
@@ -104,13 +100,15 @@ def cluster_joint(
 ) -> tuple[PseudoLabeling, PseudoLabeling, PseudoLabeling]:
     """Cluster each modality alone plus their concatenation (visible first).
 
-    The joint labeling indexes visible rows 0..N-1 and infrared rows N..N+M-1.
+    The joint labeling indexes visible rows 0..N-1 and infrared rows N..N+M-1;
+    the modality scopes cluster the diagonal blocks of its distance matrix.
     """
     eps, k = cfg.dbscan_eps, cfg.dbscan_min_samples
-    vis_labels = dbscan(pairwise_cosine_distance(visible), eps, k, scope="v")
-    inf_labels = dbscan(pairwise_cosine_distance(infrared), eps, k, scope="r")
-    joint_feats = np.vstack([visible.features, infrared.features])
-    joint_labels = dbscan(pairwise_cosine_distance(joint_feats), eps, k, scope="vr")
+    n = len(visible)
+    joint = pairwise_cosine_distance(np.vstack([visible.features, infrared.features]))
+    vis_labels = dbscan(DistanceMatrix(joint.d[:n, :n]), eps, k, scope="v")
+    inf_labels = dbscan(DistanceMatrix(joint.d[n:, n:]), eps, k, scope="r")
+    joint_labels = dbscan(joint, eps, k, scope="vr")
     return vis_labels, inf_labels, joint_labels
 
 

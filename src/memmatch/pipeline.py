@@ -229,7 +229,8 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
     for lab in (labels_v_raw, labels_r_raw, labels_joint):
         if lab.cluster_count == 0:
             raise ClusteringCollapseError(
-                f"epoch {epoch}: clustering produced zero clusters in scope {lab.scope!r}"
+                f"epoch {epoch}: clustering produced zero clusters in scope {lab.scope!r} ({len(lab)} "
+                f"samples, dbscan_eps={cfg.dbscan_eps}, dbscan_min_samples={cfg.dbscan_min_samples})"
             )
 
     notes: tuple[str, ...] = ()
@@ -317,10 +318,10 @@ def run_epoch(
                 f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} "
                 f"(shortfall {shortfall})"
             )
-        vis_cur, inf_cur = trainable.sets()
-        fv, fr = vis_cur.features[vis_idx], inf_cur.features[inf_idx]
-        buf_v = GradientBuffer.zeros(n_vis, vis_cur.dim)
-        buf_r = GradientBuffer.zeros(n_inf, inf_cur.dim)
+        fv = normalize_rows(trainable.params["v"][vis_idx])
+        fr = normalize_rows(trainable.params["r"][inf_idx])
+        buf_v = GradientBuffer.zeros(n_vis, fv.shape[1])
+        buf_r = GradientBuffer.zeros(n_inf, fr.shape[1])
 
         l_v, g_v = cluster_nce(fv, state.labels_v.labels[vis_idx], state.wbank_v, cfg.tau)
         buf_v.add_rows(vis_idx, g_v)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from memmatch.clustering import (
     DistanceMatrix,
@@ -54,9 +54,23 @@ class TestPairwiseCosineDistance:
     def test_matrix_contract(self, seed):
         rng = np.random.default_rng(seed)
         dm = pairwise_cosine_distance(random_points(rng, 12, 5))
-        assert np.abs(dm.d - dm.d.T).max() <= 1e-12
+        assert np.array_equal(dm.d, dm.d.T)
         assert np.all(np.diag(dm.d) == 0.0)
         assert dm.d.min() >= 0.0 and dm.d.max() <= 2.0
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)], ids=["non-square", "1-D", "3-D"])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            DistanceMatrix(np.zeros(shape))
+
+    def test_read_only_view_without_copy(self):
+        arr = np.zeros((3, 3))
+        dm = DistanceMatrix(arr)
+        assert np.shares_memory(dm.d, arr)
+        assert not dm.d.flags.writeable
+        assert arr.flags.writeable
 
 
 class TestDbscan:
@@ -78,9 +92,10 @@ class TestDbscan:
         pts = random_points(rng, 40, 4)
         dm = pairwise_cosine_distance(pts)
         eps = float(rng.uniform(0.05, 0.6))
-        mine = dbscan(dm, eps, min_samples=4).labels
-        ref = naive_dbscan(dm.d, eps, 4)
-        assert np.array_equal(mine, ref)
+        # the full matrix, then a non-contiguous diagonal-block view of it
+        for d in (dm.d, dm.d[15:, 15:]):
+            mine = dbscan(DistanceMatrix(d), eps, min_samples=4).labels
+            assert np.array_equal(mine, naive_dbscan(d, eps, 4))
 
     @given(st.integers(0, 10_000))
     def test_permutation_invariant_partition(self, seed):
@@ -120,6 +135,28 @@ class TestClusterJoint:
         assert lj.cluster_count == 4
         joint_from_parts = np.concatenate([lv.labels, lr.labels + 2])
         assert ari(lj.labels, joint_from_parts) == 1.0
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.integers(2, 8),
+        st.floats(0.05, 0.6),
+        st.integers(1, 5),
+    )
+    def test_scopes_match_own_matrices(self, seed, n_v, n_r, dim, eps, min_samples):
+        # The per-modality scopes read diagonal blocks of the joint matrix;
+        # they must label exactly as DBSCAN on each modality's own matrix
+        # (the blocks may differ from it by BLAS rounding, a few ulp).
+        assume(n_v != n_r)
+        rng = np.random.default_rng(seed)
+        vis = make_set(random_points(rng, n_v, dim))
+        inf = make_set(random_points(rng, n_r, dim), modality="r")
+        lv, lr, _ = cluster_joint(vis, inf, self.cfg(eps, min_samples))
+        for got, own in ((lv, vis), (lr, inf)):
+            ref = dbscan(pairwise_cosine_distance(own.features), eps, min_samples)
+            assert np.array_equal(got.labels, ref.labels)
+            assert got.cluster_count == ref.cluster_count
 
     def test_single_sample_per_modality_is_noise(self):
         vis = make_set(unit_circle([0]))

@@ -214,8 +214,9 @@ class TestRunEpoch:
         vis = EmbeddingSet(features=feats[:3], modality=np.full(3, "v"))
         inf = EmbeddingSet(features=feats[3:], modality=np.full(3, "r"))
         cfg = PipelineConfig(epochs=1, dbscan_eps=1e-6, dbscan_min_samples=4)
-        with pytest.raises(ClusteringCollapseError, match="zero clusters"):
+        with pytest.raises(ClusteringCollapseError, match="zero clusters") as err:
             run_training(vis, inf, cfg)
+        assert "scope 'v' (3 samples, dbscan_eps=1e-06, dbscan_min_samples=4)" in str(err.value)
 
 
 class TestRunTraining:
