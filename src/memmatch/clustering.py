@@ -1,15 +1,18 @@
 """Pseudo-label generation and cluster memory construction.
 
-DBSCAN runs on a precomputed cosine-distance matrix so callers can swap in
-any other metric; the per-modality scopes cluster the diagonal blocks of the
-one joint matrix (equal to each modality's own matrix up to a few ulp of
-BLAS rounding).  Memories are plain per-cluster means; sub-clustering
-splits each cluster into up to ``n`` sub-memories with a deterministic
-k-means (farthest-point init, Lloyd iterations).
+Clustering is DBSCAN over cosine distances, read as a sparse ε-graph: the
+list of pairs ``i < j`` within ``eps``.  ``cluster_joint`` makes that list
+with one blocked sweep over the joint features (row blocks of the
+similarity matrix, never the whole N x N matrix) and takes the visible and
+infrared graphs as its v-v and r-r pairs.  One vectorised labeller turns a
+pair list into DBSCAN labels with the classic discovery-order numbering.
+``dbscan`` keeps the precomputed-matrix interface for callers with their
+own metric.  Memories are plain per-cluster means; sub-clustering splits
+each cluster into up to ``n`` sub-memories with a deterministic k-means
+(farthest-point init, Lloyd iterations).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +28,9 @@ from .model import (
     PseudoLabeling,
 )
 
-_UNVISITED = -2
+# Each row block of the similarity sweep holds at most this many bytes of
+# float64 (at least one row).
+_SWEEP_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -55,44 +60,97 @@ def pairwise_cosine_distance(feats: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(dist)
 
 
-def dbscan(dist: DistanceMatrix, eps: float, min_samples: int, scope: str = JOINT) -> PseudoLabeling:
-    """Classic DBSCAN on a precomputed distance matrix.
-
-    Core point: at least ``min_samples`` neighbors within ``eps`` (self
-    included).  Clusters are grown one at a time scanning seeds in ascending
-    index order, so a border point in reach of several clusters joins the
-    first one discovered.  Labels come out contiguous in discovery order;
-    unreachable points get -1.
-    """
-    if eps <= 0:
+def _check_params(eps: float, min_samples: int) -> None:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if min_samples < 1:
         raise ValueError("min_samples must be at least 1")
-    d = dist.d
-    n = len(dist)
-    neighbors = [np.flatnonzero(d[i] <= eps) for i in range(n)]
-    core = np.array([nb.size >= min_samples for nb in neighbors])
-    labels = np.full(n, _UNVISITED, dtype=np.int64)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != _UNVISITED:
-            continue
-        if not core[i]:
-            labels[i] = NOISE_LABEL
-            continue
-        labels[i] = cluster
-        queue = deque(int(j) for j in neighbors[i])
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE_LABEL:
-                labels[j] = cluster  # border point reached from a core
-            if labels[j] != _UNVISITED:
-                continue
-            labels[j] = cluster
-            if core[j]:
-                queue.extend(int(k) for k in neighbors[j])
-        cluster += 1
-    return PseudoLabeling(scope=scope, labels=labels, cluster_count=cluster)
+
+
+def _eps_pairs(feats: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``i < j`` of unit rows whose cosine distance, clipped to [0, 2],
+    is at most ``eps``.
+
+    Each row block ``a:b`` is compared with rows ``a:`` only, so memory stays
+    at one block plus the pairs kept.
+    """
+    n = feats.shape[0]
+    step = max(1, _SWEEP_BLOCK_BYTES // (8 * max(n, 1)))
+    left, right = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for a in range(0, n, step):
+        dist = feats[a : a + step] @ feats[a:].T
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, 2.0, out=dist)
+        r, c = np.nonzero(dist <= eps)
+        upper = c > r  # column c holds row a + c
+        left.append(r[upper] + a)
+        right.append(c[upper] + a)
+    return np.concatenate(left), np.concatenate(right)
+
+
+def _min_index_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """For each of ``n`` points, the smallest index in its connected
+    component of the graph with edges ``(i, j)``.
+
+    Min-label hooking: every root takes the smallest root across its edges,
+    then pointer jumping flattens the forest.  Roots only ever point lower,
+    so the final root of a component is its smallest index.
+    """
+    parent = np.arange(n)
+    while True:
+        pi, pj = parent[i], parent[j]
+        cross = pi != pj  # edges still joining two trees
+        if not cross.any():
+            return parent
+        i, j, pi, pj = i[cross], j[cross], pi[cross], pj[cross]
+        np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def _label_pairs(n: int, i: np.ndarray, j: np.ndarray, min_samples: int, scope: str) -> PseudoLabeling:
+    """DBSCAN labels of ``n`` points from their ε-neighbour pairs ``(i, j)``.
+
+    A point is core when its degree (pairs plus itself) reaches
+    ``min_samples``.  Clusters are the connected components of core-core
+    pairs, numbered by their smallest core index; a border point joins the
+    lowest-numbered cluster among its core neighbours; the rest is noise.
+    This is exactly the labeling of the sequential algorithm that grows one
+    cluster at a time from seeds in ascending index order.
+    """
+    degree = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1
+    core = degree >= min_samples
+    both = core[i] & core[j]
+    root = _min_index_components(n, i[both], j[both])
+    roots = np.unique(root[core])
+    labels = np.full(n, NOISE_LABEL, dtype=np.int64)
+    labels[core] = np.searchsorted(roots, root[core])
+    border = np.full(n, roots.size, dtype=np.int64)
+    for src, dst in ((i, j), (j, i)):
+        reach = core[src] & ~core[dst]
+        np.minimum.at(border, dst[reach], labels[src[reach]])
+    reached = border < roots.size
+    labels[reached] = border[reached]
+    return PseudoLabeling(scope=scope, labels=labels, cluster_count=int(roots.size))
+
+
+def dbscan(dist: DistanceMatrix, eps: float, min_samples: int, scope: str = JOINT) -> PseudoLabeling:
+    """Classic DBSCAN on a precomputed distance matrix.
+
+    The matrix is read as symmetric with a zero diagonal: its upper-triangle
+    entries within ``eps`` are the neighbour pairs, and every point counts
+    itself.  Core point: at least ``min_samples`` neighbours.  Labels are
+    those of growing clusters one at a time from seeds in ascending index
+    order: contiguous in discovery order, a border point in reach of
+    several clusters joins the first one discovered, unreachable points
+    get -1.
+    """
+    _check_params(eps, min_samples)
+    i, j = np.nonzero(np.triu(dist.d <= eps, 1))
+    return _label_pairs(len(dist), i, j, min_samples, scope)
 
 
 def cluster_joint(
@@ -100,16 +158,21 @@ def cluster_joint(
 ) -> tuple[PseudoLabeling, PseudoLabeling, PseudoLabeling]:
     """Cluster each modality alone plus their concatenation (visible first).
 
-    The joint labeling indexes visible rows 0..N-1 and infrared rows N..N+M-1;
-    the modality scopes cluster the diagonal blocks of its distance matrix.
+    The joint labeling indexes visible rows 0..N-1 and infrared rows
+    N..N+M-1.  One blocked sweep finds the joint ε-pairs; the modality
+    scopes label its v-v and r-r pairs, so each equals DBSCAN on that
+    modality's own distances (up to BLAS rounding of a few ulp).
     """
     eps, k = cfg.dbscan_eps, cfg.dbscan_min_samples
-    n = len(visible)
-    joint = pairwise_cosine_distance(np.vstack([visible.features, infrared.features]))
-    vis_labels = dbscan(DistanceMatrix(joint.d[:n, :n]), eps, k, scope="v")
-    inf_labels = dbscan(DistanceMatrix(joint.d[n:, n:]), eps, k, scope="r")
-    joint_labels = dbscan(joint, eps, k, scope="vr")
-    return vis_labels, inf_labels, joint_labels
+    _check_params(eps, k)
+    n, m = len(visible), len(infrared)
+    i, j = _eps_pairs(np.vstack([visible.features, infrared.features]), eps)
+    vis, inf = j < n, i >= n  # i < j: both visible, both infrared
+    return (
+        _label_pairs(n, i[vis], j[vis], k, "v"),
+        _label_pairs(m, i[inf] - n, j[inf] - n, k, "r"),
+        _label_pairs(n + m, i, j, k, JOINT),
+    )
 
 
 def build_memory(

@@ -6,6 +6,7 @@ numpy arrays: construct once, share freely.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -330,7 +331,12 @@ class PipelineConfig:
     gmm_weighting: bool = True
 
     def validate(self) -> list[str]:
+        # NaN fails every comparison below, so non-finite values are caught first.
         out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                out.append(f"{f.name} must be finite, got {value!r}")
         for name in ("tau", "dbscan_eps", "learning_rate"):
             if getattr(self, name) <= 0:
                 out.append(f"{name} must be positive")

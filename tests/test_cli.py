@@ -125,6 +125,13 @@ def test_train_unknown_override_exit_2(data_dir, tmp_path, capsys):
     assert "bogus" in err and "dbscan_eps" in err
 
 
+def test_train_non_finite_override_exit_2(data_dir, tmp_path, capsys):
+    assert main(train_args(data_dir, tmp_path / "x", ["dbscan_eps=nan"])) == 2
+    err = capsys.readouterr().err
+    assert "dbscan_eps must be finite" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_eval_consumes_train_output(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(train_args(data_dir, out)) == 0

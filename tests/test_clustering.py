@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from memmatch import clustering
 from memmatch.clustering import (
     DistanceMatrix,
     _kmeans,
@@ -158,6 +161,46 @@ class TestClusterJoint:
             assert np.array_equal(got.labels, ref.labels)
             assert got.cluster_count == ref.cluster_count
 
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 25),
+        st.integers(1, 25),
+        st.integers(2, 6),
+        st.floats(0.05, 0.8),
+        st.integers(1, 5),
+    )
+    def test_block_boundaries(self, rows, seed, n_v, n_r, dim, eps, min_samples):
+        # Sweep blocks of 1, 3 or 7 rows, with blocks straddling the
+        # visible/infrared boundary and a short last block.
+        assume(n_v != n_r and (rows == 1 or (n_v + n_r) % rows))
+        rng = np.random.default_rng(seed)
+        vis = make_set(random_points(rng, n_v, dim))
+        inf = make_set(random_points(rng, n_r, dim), modality="r")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_SWEEP_BLOCK_BYTES", rows * 8 * (n_v + n_r))
+            labelings = cluster_joint(vis, inf, self.cfg(eps, min_samples))
+        scopes = (vis.features, inf.features, np.vstack([vis.features, inf.features]))
+        for got, feats in zip(labelings, scopes):
+            ref = naive_dbscan(pairwise_cosine_distance(feats).d, eps, min_samples)
+            assert np.array_equal(got.labels, ref)
+            assert got.cluster_count == ref.max() + 1
+
+    def test_peak_memory_below_dense_matrix(self):
+        # 4000 random unit vectors in 64 dimensions are nearly orthogonal, so
+        # the sweep keeps few pairs; a dense N x N float64 matrix alone would
+        # be 8 * N^2 bytes.
+        rng = np.random.default_rng(0)
+        vis = make_set(random_points(rng, 2000, 64))
+        inf = make_set(random_points(rng, 2000, 64), modality="r")
+        tracemalloc.start()
+        try:
+            cluster_joint(vis, inf, self.cfg(eps=0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * 4000**2
+
     def test_single_sample_per_modality_is_noise(self):
         vis = make_set(unit_circle([0]))
         inf = make_set(unit_circle([10]), modality="r")
@@ -165,6 +208,73 @@ class TestClusterJoint:
         assert lv.labels.tolist() == [-1]
         assert lr.labels.tolist() == [-1]
         assert lj.labels.tolist() == [-1, -1]
+
+
+class TestLabelSemantics:
+    """DBSCAN labeling rules, through ``dbscan`` on a matrix and through
+    every scope of ``cluster_joint``."""
+
+    @staticmethod
+    def labelings(feats, eps, min_samples):
+        # Both modalities hold a copy of ``feats`` in orthogonal coordinates:
+        # the same distances within each, distance 1 across.
+        feats = np.asarray(feats, float)
+        zeros = np.zeros_like(feats)
+        vis = make_set(np.hstack([feats, zeros]))
+        inf = make_set(np.hstack([zeros, feats]), modality="r")
+        cfg = PipelineConfig(dbscan_eps=eps, dbscan_min_samples=min_samples)
+        lv, lr, lj = cluster_joint(vis, inf, cfg)
+        via_matrix = dbscan(pairwise_cosine_distance(feats), eps, min_samples)
+        return [via_matrix.labels, lv.labels, lr.labels, lj.labels[: len(feats)]]
+
+    @pytest.mark.parametrize(
+        "eps, min_samples, message",
+        [(0.0, 2, "eps"), (float("nan"), 2, "eps"), (0.3, 0, "min_samples")],
+        ids=["zero-eps", "nan-eps", "zero-min-samples"],
+    )
+    def test_invalid_parameters_rejected(self, eps, min_samples, message):
+        pts = unit_circle([0, 1, 2])
+        with pytest.raises(ValueError, match=message):
+            dbscan(pairwise_cosine_distance(pts), eps, min_samples)
+        cfg = PipelineConfig(dbscan_eps=eps, dbscan_min_samples=min_samples)
+        with pytest.raises(ValueError, match=message):
+            cluster_joint(make_set(pts), make_set(pts, modality="r"), cfg)
+
+    def test_border_joins_earlier_discovered_cluster(self):
+        # Point 0 at 0 deg is within 5 deg of one core of each cluster but has
+        # only 3 neighbours itself.  Cluster B (negative angles) is found first,
+        # from point 1, although point 0's core neighbour in A has the lower
+        # index (2 < 5).
+        angles = [0, -8, 4.5, -9, 8, -4.5, 9, -10, 10]
+        eps = 1 - np.cos(np.deg2rad(5))
+        expected = [0, 0, 1, 0, 1, 0, 1, 0, 1]
+        for labels in self.labelings(unit_circle(angles), eps, 4):
+            assert labels.tolist() == expected
+
+    def test_min_samples_one_makes_every_point_core(self):
+        pts = random_points(np.random.default_rng(4), 30, 4)
+        ref = naive_dbscan(pairwise_cosine_distance(pts).d, 0.2, 1)
+        assert ref.max() + 1 > 10  # many small clusters, not one component
+        for labels in self.labelings(pts, 0.2, 1):
+            assert np.all(labels >= 0)
+            assert np.array_equal(labels, ref)
+
+    def test_duplicate_rows_cluster_together(self):
+        x, y = normalize_rows(np.array([[3.0, 1.0, 2.0], [-1.0, 2.0, 0.5]]))
+        for labels in self.labelings([x, y, x, y, x, y, x], 0.01, 3):
+            assert labels.tolist() == [0, 1, 0, 1, 0, 1, 0]
+
+    def test_antipodal_points_are_neighbours_at_eps_two(self):
+        # A unit row whose self-dot rounds above 1, so 1 - <x, -x> computes
+        # to just above 2 and only the clip to [0, 2] keeps the pair.
+        pts = random_points(np.random.default_rng(0), 200, 3)
+        x = next(p for p in pts if 1.0 - (np.stack([p, -p]) @ np.stack([p, -p]).T)[0, 1] > 2.0)
+        pair = np.stack([x, -x])
+        assert dbscan(pairwise_cosine_distance(pair), 2.0, 2).labels.tolist() == [0, 0]
+        cfg = PipelineConfig(dbscan_eps=2.0, dbscan_min_samples=2)
+        lv, lr, lj = cluster_joint(make_set([x]), make_set([-x], modality="r"), cfg)
+        assert lv.labels.tolist() == [-1] and lr.labels.tolist() == [-1]
+        assert lj.labels.tolist() == [0, 0]
 
 
 class TestBuildMemory:

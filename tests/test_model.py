@@ -137,6 +137,23 @@ class TestPipelineConfig:
         assert any("batch_ids" in p for p in problems)
         assert any("mmd_sigma" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dbscan_eps", float("nan")),
+            ("tau", float("inf")),
+            ("learning_rate", float("nan")),
+            ("momentum", float("nan")),
+            ("weight_decay", float("nan")),
+            ("lambda_intra", float("nan")),
+            ("lambda_inter", float("-inf")),
+            ("mmd_sigma", float("nan")),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        problems = PipelineConfig(**{field: value}).validate()
+        assert any(field in p and "finite" in p for p in problems)
+
 
 def test_concat_sets_order_and_truth():
     vis = make_set(np.eye(2), modality=["v", "v"], truth=np.array([0, 1]))
