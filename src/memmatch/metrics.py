@@ -18,6 +18,10 @@ from .model import NOISE_LABEL, EmbeddingSet, PseudoLabeling
 METRIC_CSV_HEADER = "ari_rgb,ari_ir,ari_all,rank1,rank5,rank10,rank20,map"
 RANKS = (1, 5, 10, 20)
 
+# Each block of query rows holds at most this many bytes of float64
+# similarities (at least one row), the budget of the clustering sweep.
+_EVAL_BLOCK_BYTES = 8 << 20
+
 
 @dataclass(frozen=True)
 class ContingencyTable:
@@ -116,39 +120,85 @@ class RetrievalReport:
         return ",".join(repr(float(v)) for v in vals)
 
 
-def retrieval_eval(query: EmbeddingSet, gallery: EmbeddingSet, ranks=RANKS) -> RetrievalReport:
-    """Rank-k accuracy and mean average precision, cosine-similarity ranking.
+def _positive_ranks(sims: np.ndarray, qi: np.ndarray, gi: np.ndarray) -> np.ndarray:
+    """1-based rank of each positive ``(qi, gi)`` when its row of ``sims`` is
+    ordered by descending similarity, ties to the lower gallery index.
+    """
+    chunk, n_g = sims.shape
+    v = sims[qi, gi]
+    flat = np.sort(sims, axis=1).ravel()
+    base = qi * n_g
+    # at_most = #{h : s_h <= v} per positive: binary lifting over every
+    # ascending row at once keeps the largest count c with row[c - 1] <= v
+    at_most = np.zeros(qi.size, np.intp)
+    step = 1 << (n_g.bit_length() - 1)
+    while step:
+        probe = at_most + step
+        fits = probe <= n_g
+        fits &= flat[base + np.minimum(probe, n_g) - 1] <= v
+        at_most[fits] = probe[fits]
+        step >>= 1
+    ranks = n_g - at_most + 1
+    # row[at_most - 1] is v itself; an equal value just below it is a tie
+    tied = np.flatnonzero((at_most >= 2) & (flat[base + np.maximum(at_most, 2) - 2] == v))
+    cols = np.arange(n_g)
+    for c in range(0, tied.size, chunk):  # at most one block of bytes at a time
+        t = tied[c : c + chunk]
+        lower = (sims[qi[t]] == v[t, None]) & (cols < gi[t, None])
+        ranks[t] += np.count_nonzero(lower, axis=1)
+    return ranks
 
-    Each query ranks the full gallery by descending similarity (ties broken
-    by ascending gallery index).  Queries whose identity never occurs in the
-    gallery are excluded from the averages and counted.
+
+def retrieval_eval(query: EmbeddingSet, gallery: EmbeddingSet) -> RetrievalReport:
+    """Rank-k accuracy for k in ``RANKS`` and mean average precision under
+    cosine-similarity ranking.
+
+    Each query ranks the full gallery by descending similarity, ties broken
+    by ascending gallery index, so gallery item g of a query ranks at
+    #{h : s_h > s_g} + #{h < g : s_h = s_g} + 1.  Only the ranks of the
+    query's positives (gallery items of its identity) are computed: each
+    row of similarities is sorted once, the first term is a bisection on
+    that sorted row, and the index term is counted only for positives whose
+    similarity occurs more than once in the row.  With r_1 < ... < r_m the
+    positive ranks, rank-k is a hit when r_1 <= k and AP is the mean of
+    j / r_j.  Queries whose identity never occurs in the gallery are
+    excluded from the averages and counted.  Non-finite features, which
+    have no rank, raise ``ValueError``.
+
+    Query rows are taken in blocks of at most ``_EVAL_BLOCK_BYTES`` of
+    float64 similarities (at least one row), so no query x gallery array
+    is ever held whole.
     """
     if query.true_identity is None or gallery.true_identity is None:
         raise ValueError("ground-truth identities are required for retrieval evaluation")
-    sims = query.features @ gallery.features.T
-    order = np.argsort(-sims, axis=1, kind="stable")
-    g_ids = gallery.true_identity
-    hits_at = {k: 0 for k in ranks}
-    aps: list[float] = []
-    excluded = 0
-    for qi in range(len(query)):
-        matches = (g_ids[order[qi]] == query.true_identity[qi]).astype(np.int64)
-        relevant = int(matches.sum())
-        if relevant == 0:
-            excluded += 1
+    if not (np.isfinite(query.features).all() and np.isfinite(gallery.features).all()):
+        raise ValueError("retrieval evaluation needs finite features")
+    n_g = len(gallery)
+    rows = max(1, _EVAL_BLOCK_BYTES // (8 * max(n_g, 1)))
+    hits = np.zeros(len(RANKS), np.int64)
+    aps = [np.empty(0)]
+    for a in range(0, len(query), rows):
+        # positives (qi, gi) in row-major order: grouped by query, qi ascending
+        qi, gi = np.nonzero(query.true_identity[a : a + rows, None] == gallery.true_identity)
+        if qi.size == 0:
             continue
-        cum = matches.cumsum()
-        for k in ranks:
-            if cum[min(k, len(matches)) - 1] >= 1:
-                hits_at[k] += 1
-        precision = cum / np.arange(1, len(matches) + 1)
-        aps.append(float((precision * matches).sum() / relevant))
-    valid = len(aps)
+        starts = np.flatnonzero(np.diff(qi, prepend=-1))  # each query's first positive
+        counts = np.diff(starts, append=qi.size)
+        within = np.arange(qi.size) - np.repeat(starts, counts)
+        sims = query.features[a : a + rows] @ gallery.features.T
+        ranks = _positive_ranks(sims, qi, gi)
+        # one sort of (qi, rank) keys orders the ranks within each query
+        key = qi * (n_g + 1)
+        ranks = np.sort(key + ranks) - key
+        aps.append(np.add.reduceat((within + 1) / ranks, starts) / counts)
+        hits += (ranks[starts] <= np.array(RANKS)[:, None]).sum(axis=1)
+    aps = np.concatenate(aps)
+    valid = aps.size
     if valid == 0:
         raise ValueError("no query identity appears in the gallery")
     return RetrievalReport(
-        rank={k: hits_at[k] / valid for k in ranks},
+        rank={k: int(h) / valid for k, h in zip(RANKS, hits)},
         map=float(np.mean(aps)),
         valid_queries=valid,
-        excluded_queries=excluded,
+        excluded_queries=len(query) - valid,
     )

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from memmatch.metrics import RANKS, RetrievalReport
+
 
 def naive_dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     """Textbook DBSCAN with brute-force region queries.
@@ -148,3 +150,41 @@ def gradient_gap(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst absolute error normalized by the numeric gradient's scale."""
     scale = max(float(np.abs(numeric).max()), 1e-6)
     return float(np.abs(analytic - numeric).max()) / scale
+
+
+def naive_retrieval_eval(query, gallery, ranks=RANKS) -> RetrievalReport:
+    """Rank-k accuracy and mean average precision, cosine-similarity ranking.
+
+    Each query ranks the full gallery by descending similarity (ties broken
+    by ascending gallery index).  Queries whose identity never occurs in the
+    gallery are excluded from the averages and counted.
+    """
+    if query.true_identity is None or gallery.true_identity is None:
+        raise ValueError("ground-truth identities are required for retrieval evaluation")
+    sims = query.features @ gallery.features.T
+    order = np.argsort(-sims, axis=1, kind="stable")
+    g_ids = gallery.true_identity
+    hits_at = {k: 0 for k in ranks}
+    aps: list[float] = []
+    excluded = 0
+    for qi in range(len(query)):
+        matches = (g_ids[order[qi]] == query.true_identity[qi]).astype(np.int64)
+        relevant = int(matches.sum())
+        if relevant == 0:
+            excluded += 1
+            continue
+        cum = matches.cumsum()
+        for k in ranks:
+            if cum[min(k, len(matches)) - 1] >= 1:
+                hits_at[k] += 1
+        precision = cum / np.arange(1, len(matches) + 1)
+        aps.append(float((precision * matches).sum() / relevant))
+    valid = len(aps)
+    if valid == 0:
+        raise ValueError("no query identity appears in the gallery")
+    return RetrievalReport(
+        rank={k: hits_at[k] / valid for k in ranks},
+        map=float(np.mean(aps)),
+        valid_queries=valid,
+        excluded_queries=excluded,
+    )

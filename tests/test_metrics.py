@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from memmatch import metrics
 from memmatch.metrics import (
+    RANKS,
     ContingencyTable,
     RetrievalReport,
     ari,
@@ -13,7 +16,7 @@ from memmatch.metrics import (
     retrieval_eval,
 )
 from memmatch.model import EmbeddingSet, PseudoLabeling, normalize_rows
-from reference import ari_pair_counting
+from reference import ari_pair_counting, naive_retrieval_eval
 
 label_lists = st.lists(st.integers(-1, 4), min_size=2, max_size=25)
 
@@ -175,6 +178,75 @@ class TestRetrievalEval:
         again = retrieval_eval(q_rot, g_rot)
         assert again.map == pytest.approx(base.map, abs=1e-12)
         assert again.rank == base.rank
+
+    @given(st.data())
+    def test_matches_naive_ranking(self, data):
+        # Small-integer features make every dot product exact, so exact ties
+        # occur; blocks of 1-3 query rows split the queries unevenly.
+        n_q, n_g = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 25))
+        dim, rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        ints = st.integers(-2, 2)
+
+        def int_set(n, max_id, modality):
+            row = st.lists(ints, min_size=dim, max_size=dim)
+            feats = data.draw(st.lists(row, min_size=n, max_size=n))
+            ids = data.draw(st.lists(st.integers(0, max_id), min_size=n, max_size=n))
+            return EmbeddingSet(features=np.array(feats, float), modality=np.full(n, modality),
+                                true_identity=np.array(ids))
+
+        query, gallery = int_set(n_q, 5, "r"), int_set(n_g, 3, "v")  # ids 4, 5: no positive
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_EVAL_BLOCK_BYTES", rows * 8 * n_g)
+            try:
+                expected = naive_retrieval_eval(query, gallery)
+            except ValueError:
+                with pytest.raises(ValueError, match="no query identity"):
+                    retrieval_eval(query, gallery)
+                return
+            got = retrieval_eval(query, gallery)
+        assert got.rank == expected.rank
+        assert got.valid_queries == expected.valid_queries
+        assert got.excluded_queries == expected.excluded_queries
+        assert got.map == pytest.approx(expected.map, rel=1e-12, abs=0)
+
+    def test_small_gallery_ties_by_index(self):
+        # five gallery items, all at similarity 1: rank-k stops at the gallery
+        # size, and a positive at index 3 ranks 4th
+        query = id_set([[1.0, 0.0]], [0], modality="r")
+        gallery = id_set([[1.0, 0.0]] * 5, [1, 2, 3, 0, 4])
+        report = retrieval_eval(query, gallery)
+        assert report.rank == {1: 0.0, 5: 1.0, 10: 1.0, 20: 1.0}
+        assert report.map == 0.25
+
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    def test_non_finite_features_rejected(self, side):
+        sets = {"query": id_set([[1.0, 0.0]], [0], modality="r"),
+                "gallery": id_set([[1.0, 0.0]] * 2, [0, 1])}
+        feats = sets[side].features.copy()
+        feats[0, 0] = np.nan
+        sets[side] = EmbeddingSet(features=feats, modality=sets[side].modality,
+                                  true_identity=sets[side].true_identity)
+        with pytest.raises(ValueError, match="finite"):
+            retrieval_eval(sets["query"], sets["gallery"])
+
+    def test_rank_keys_are_ranks(self):
+        query = id_set([[1.0, 0.0]], [0], modality="r")
+        gallery = id_set([[0.0, 1.0], [1.0, 0.0]], [1, 0])
+        assert tuple(retrieval_eval(query, gallery).rank) == RANKS
+
+    def test_peak_memory_below_dense_matrix(self):
+        # one dense query x gallery float64 array alone would be 8 * 3000^2 bytes
+        rng = np.random.default_rng(0)
+        ids = np.repeat(np.arange(30), 100)
+        query = id_set(rng.standard_normal((3000, 64)), ids, modality="r")
+        gallery = id_set(rng.standard_normal((3000, 64)), ids)
+        tracemalloc.start()
+        try:
+            retrieval_eval(query, gallery)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 3000**2
 
     def test_csv_row(self):
         report = RetrievalReport(rank={1: 0.5, 5: 0.75, 10: 1.0, 20: 1.0}, map=0.8,
