@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except (dataio.DataFormatError, synth.SpecError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except pipeline.ClusteringCollapseError as exc:
+    except (pipeline.ClusteringCollapseError, pipeline.TrainingDivergedError) as exc:
         print(f"runtime diagnostic: {exc}", file=sys.stderr)
         return 3
 

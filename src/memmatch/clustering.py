@@ -29,8 +29,9 @@ from .model import (
 )
 
 # Each row block of the similarity sweep holds at most this many bytes of
-# float64 (at least one row).
-_SWEEP_BLOCK_BYTES = 8 << 20
+# float64 (at least one row): 2 MiB, below the 4 MiB at which numpy asks the
+# kernel for huge pages, so a block's working set does not set the peak RSS.
+_SWEEP_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)

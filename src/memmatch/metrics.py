@@ -19,8 +19,8 @@ METRIC_CSV_HEADER = "ari_rgb,ari_ir,ari_all,rank1,rank5,rank10,rank20,map"
 RANKS = (1, 5, 10, 20)
 
 # Each block of query rows holds at most this many bytes of float64
-# similarities (at least one row), the budget of the clustering sweep.
-_EVAL_BLOCK_BYTES = 8 << 20
+# similarities (at least one row): 2 MiB, the budget of the clustering sweep.
+_EVAL_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ numpy arrays: construct once, share freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -125,11 +125,16 @@ class PseudoLabeling:
 
     Non-noise labels always form the contiguous, fully occupied range
     0..cluster_count-1.  cluster_count may be 0 when everything is noise.
+    Membership is one CSR index built at construction: a stable argsort of
+    the labels (noise first) and the offsets of each label's run in it, so
+    ``members`` and ``cluster_sizes`` slice instead of scanning all labels.
     """
 
     scope: str
     labels: np.ndarray
     cluster_count: int
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scope not in SCOPES:
@@ -140,11 +145,15 @@ class PseudoLabeling:
             raise ValueError("labels must be 1-D")
         if lab.size and int(lab.min()) < NOISE_LABEL:
             raise ValueError("labels below -1 are not allowed")
-        present = np.unique(lab[lab >= 0])
-        if not np.array_equal(present, np.arange(self.cluster_count)):
+        # sizes[0] counts noise, sizes[p + 1] cluster p
+        sizes = np.bincount(lab + 1, minlength=self.cluster_count + 1)
+        if sizes.size != self.cluster_count + 1 or not np.all(sizes[1:]):
+            present = np.unique(lab[lab >= 0])
             raise ValueError(
                 f"non-noise labels must occupy 0..{self.cluster_count - 1}, got {present.tolist()}"
             )
+        object.__setattr__(self, "_order", _frozen(np.argsort(lab, kind="stable")))
+        object.__setattr__(self, "_offsets", _frozen(np.concatenate([[0], np.cumsum(sizes)])))
 
     @classmethod
     def from_labels(cls, scope: str, labels) -> "PseudoLabeling":
@@ -160,10 +169,13 @@ class PseudoLabeling:
         return self.labels == NOISE_LABEL
 
     def members(self, p: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == p)
+        """Indices of the samples labelled p (p = -1: noise), ascending."""
+        if not NOISE_LABEL <= p < self.cluster_count:
+            return np.empty(0, np.int64)
+        return self._order[self._offsets[p + 1] : self._offsets[p + 2]]
 
     def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels[self.labels >= 0], minlength=self.cluster_count)
+        return np.diff(self._offsets[1:])
 
 
 @dataclass(frozen=True)

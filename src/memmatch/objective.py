@@ -19,9 +19,13 @@ LOSS_CSV_HEADER = "epoch,l_v,l_r,l_vr,l_cmc,l_intra,l_inter,l_sca,l_overall"
 
 @dataclass(frozen=True)
 class GradientBuffer:
-    """N x d gradient accumulator aligned with one modality's embedding rows.
+    """Gradient accumulator for the rows of one batch, one modality.
 
-    Rows never touched by a batch stay exactly zero.
+    Batch-local: row i of ``g`` belongs to the i-th distinct embedding row
+    the batch touched (``np.unique(batch_rows, return_inverse=True)`` gives
+    the rows and the local index of each sample), so its size is the batch,
+    not N.  Rows no term adds to stay exactly zero; duplicate indices
+    accumulate.
     """
 
     g: np.ndarray
@@ -156,22 +160,42 @@ def intra_alignment(
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    """Squared Euclidean distances between the rows of a and b, over any
+    leading batch axes: (..., n, d) x (..., m, d) -> (..., n, m)."""
+    d = (
+        (a**2).sum(axis=-1)[..., :, None]
+        + (b**2).sum(axis=-1)[..., None, :]
+        - 2.0 * (a @ np.swapaxes(b, -1, -2))
+    )
     return np.maximum(d, 0.0)
 
 
-def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-_sq_dists(a, b) / (2.0 * sigma**2))
+def _kernel(sq: np.ndarray, sigma) -> np.ndarray:
+    s = np.asarray(sigma, dtype=float)[..., None, None]
+    return np.exp(-sq / (2.0 * s**2))
 
 
-def median_sigma(x: np.ndarray, y: np.ndarray) -> float:
+def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma) -> np.ndarray:
+    """exp(-|a_i - b_j|^2 / 2 sigma^2); sigma is a number or one value per
+    leading batch index."""
+    return _kernel(_sq_dists(a, b), sigma)
+
+
+def _median_pair_dist(sq: np.ndarray):
+    # sq: (..., n, n) squared distances within one set; self-pairs excluded
+    iu = np.triu_indices(sq.shape[-1], k=1)
+    pairs = np.sqrt(sq[..., iu[0], iu[1]])
+    med = np.median(pairs, axis=-1) if iu[0].size else np.zeros(pairs.shape[:-1])
+    out = np.maximum(med, 1e-12)
+    return float(out) if out.ndim == 0 else out
+
+
+def median_sigma(x: np.ndarray, y: np.ndarray):
     """Median pairwise Euclidean distance over the union of both sets
-    (self-pairs excluded), floored away from zero."""
-    union = np.vstack([x, y])
-    d = np.sqrt(_sq_dists(union, union))
-    iu = np.triu_indices(union.shape[0], k=1)
-    med = float(np.median(d[iu])) if iu[0].size else 0.0
-    return max(med, 1e-12)
+    (self-pairs excluded), floored away from zero.  A float for (n, d)
+    sets, one value per batch index for stacked (..., n, d) sets."""
+    union = np.concatenate([x, y], axis=-2)
+    return _median_pair_dist(_sq_dists(union, union))
 
 
 def mmd2(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -193,21 +217,27 @@ def mmd2(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     )
 
 
-def mmd2_grad_first(x: np.ndarray, y: np.ndarray, sigma: float) -> tuple[float, np.ndarray]:
+def _mmd2_grad(kxx, kxy, kyy, x, y, sigma):
+    # mmd2 and its gradient w.r.t. x, from the three kernel blocks
+    n, m = x.shape[-2], y.shape[-2]
+    value = kxx.mean(axis=(-2, -1)) + kyy.mean(axis=(-2, -1)) - 2.0 * kxy.mean(axis=(-2, -1))
+    # d k(a,b)/da = k(a,b) * (b - a) / sigma^2
+    gxx = (kxx @ x - kxx.sum(axis=-1)[..., None] * x) / (n * n)
+    gxy = (kxy @ y - kxy.sum(axis=-1)[..., None] * x) / (n * m)
+    grad = (2.0 / np.asarray(sigma, dtype=float) ** 2)[..., None, None] * (gxx - gxy)
+    return (float(value) if value.ndim == 0 else value), grad
+
+
+def mmd2_grad_first(x: np.ndarray, y: np.ndarray, sigma):
     """mmd2(x, y, sigma) plus its gradient w.r.t. x with y held constant
-    (stop-gradient on the second argument)."""
+    (stop-gradient on the second argument).  Stacked (..., n, d) and
+    (..., m, d) sets, with sigma a number or one value per batch index,
+    give one value per batch index and a (..., n, d) gradient."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, m = x.shape[0], y.shape[0]
-    kxx = gaussian_kernel(x, x, sigma)
-    kxy = gaussian_kernel(x, y, sigma)
-    kyy = gaussian_kernel(y, y, sigma)
-    value = float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())
-    # d k(a,b)/da = k(a,b) * (b - a) / sigma^2
-    gxx = (kxx @ x - kxx.sum(axis=1)[:, None] * x) / (n * n)
-    gxy = (kxy @ y - kxy.sum(axis=1)[:, None] * x) / (n * m)
-    grad = (2.0 / sigma**2) * (gxx - gxy)
-    return value, grad
+    return _mmd2_grad(
+        gaussian_kernel(x, x, sigma), gaussian_kernel(x, y, sigma), gaussian_kernel(y, y, sigma), x, y, sigma
+    )
 
 
 def inter_loss(
@@ -227,6 +257,10 @@ def inter_loss(
 
     sigma may be a number or "median" for a per-pair median heuristic; the
     bandwidth is treated as a constant inside the gradient either way.
+    Labels with the same (visible, infrared) group sizes are stacked, and
+    each size class takes one distance and kernel computation over the
+    union of both sides, which serves the bandwidth and both halves; a PK
+    batch has exactly one size class.
     """
     keys = sorted(set(vis_groups) | set(inf_groups))
     shared = [
@@ -239,18 +273,26 @@ def inter_loss(
     inf_grads: dict[int, np.ndarray] = {}
     if not shared:
         return 0.0, vis_grads, inf_grads, skipped
+    size_classes: dict[tuple[int, int], list[int]] = {}
+    for k in shared:
+        size_classes.setdefault((len(vis_groups[k]), len(inf_groups[k])), []).append(k)
     p = len(shared)
     total = 0.0
-    for k in shared:
-        xv = np.asarray(vis_groups[k], dtype=float)
-        xr = np.asarray(inf_groups[k], dtype=float)
-        s = median_sigma(xv, xr) if isinstance(sigma, str) else float(sigma)
+    for labels in size_classes.values():
+        xv = np.stack([np.asarray(vis_groups[k], dtype=float) for k in labels])
+        xr = np.stack([np.asarray(inf_groups[k], dtype=float) for k in labels])
+        n = xv.shape[1]
+        union = np.concatenate([xv, xr], axis=1)
+        sq = _sq_dists(union, union)
+        s = _median_pair_dist(sq) if isinstance(sigma, str) else float(sigma)
+        k = _kernel(sq, s)
+        kvv, kvr, krv, krr = k[:, :n, :n], k[:, :n, n:], k[:, n:, :n], k[:, n:, n:]
         if "visible" in terms:
-            val_v, grad_v = mmd2_grad_first(xv, xr, s)
-            total += 0.5 * val_v
-            vis_grads[k] = 0.5 * grad_v / p
+            val_v, grad_v = _mmd2_grad(kvv, kvr, krr, xv, xr, s)
+            total += 0.5 * float(val_v.sum())
+            vis_grads.update(zip(labels, 0.5 * grad_v / p))
         if "infrared" in terms:
-            val_r, grad_r = mmd2_grad_first(xr, xv, s)
-            total += 0.5 * val_r
-            inf_grads[k] = 0.5 * grad_r / p
+            val_r, grad_r = _mmd2_grad(krr, krv, kvv, xr, xv, s)
+            total += 0.5 * float(val_r.sum())
+            inf_grads.update(zip(labels, 0.5 * grad_r / p))
     return total / p, vis_grads, inf_grads, skipped

@@ -10,6 +10,7 @@ reproducible.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,10 @@ from .rng import named_stream
 
 class ClusteringCollapseError(RuntimeError):
     """A required scope produced zero clusters (eps is likely mis-set)."""
+
+
+class TrainingDivergedError(RuntimeError):
+    """A parameter row stopped being finite (the step is likely too large)."""
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,22 @@ class TrainableEmbeddings:
     """Free N x d parameters per modality standing in for a feature extractor.
 
     Downstream consumers only ever see the row-normalized view; gradient
-    steps go through the normalization's Jacobian, then SGD with momentum and
-    weight decay on the raw parameters.
+    steps go through the normalization's Jacobian, then SGD with momentum mu
+    and weight decay lam at learning rate eta on the raw parameters, the
+    three fixed from ``cfg`` at construction.
+
+    A step costs O(batch), not O(N d).  A row the step leaves out has zero
+    gradient, so its (theta, v) moves by one fixed linear map:
+    theta' = (1 - eta lam) theta - eta mu v and v' = lam theta + mu v, i.e.
+    A = [[1 - eta lam, -eta mu], [lam, mu]].  Each row records the step it
+    is current at and is caught up with A^lag when it is next read, by
+    ``features`` (a batch) or ``sets`` (an epoch start), or stepped.  Rows of
+    ``params`` and ``velocity`` are therefore stale until read.  A row whose
+    norm stops being finite, after a step or a catch-up, raises
+    ``TrainingDivergedError``.
     """
 
-    def __init__(self, visible: EmbeddingSet, infrared: EmbeddingSet):
+    def __init__(self, visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig):
         self.params = {"v": visible.features.copy(), "r": infrared.features.copy()}
         self.velocity = {k: np.zeros_like(p) for k, p in self.params.items()}
         self.modality = {"v": visible.modality.copy(), "r": infrared.modality.copy()}
@@ -123,10 +139,55 @@ class TrainableEmbeddings:
             "v": None if visible.true_identity is None else visible.true_identity.copy(),
             "r": None if infrared.true_identity is None else infrared.true_identity.copy(),
         }
+        lr, mu, lam = cfg.learning_rate, cfg.momentum, cfg.weight_decay
+        self.learning_rate, self.momentum, self.weight_decay = lr, mu, lam
+        self.steps = 0
+        self._current = {k: np.zeros(len(p), np.int64) for k, p in self.params.items()}
+        self._map = np.array([[1.0 - lr * lam, -lr * mu], [lam, mu]])
+        self._powers = np.eye(2)[None]  # _powers[k] = A^k, grown on demand
+
+    def _power(self, lag: np.ndarray) -> np.ndarray:
+        have = len(self._powers)
+        need = int(lag.max()) + 1
+        if need > have:
+            grown = np.empty((max(need, 2 * have), 2, 2))
+            grown[:have] = self._powers
+            for k in range(have, len(grown)):
+                grown[k] = self._map @ grown[k - 1]
+            self._powers = grown
+        return self._powers[lag]
+
+    def _check(self, key: str, rows: np.ndarray, after: str) -> None:
+        sq_norms = np.square(self.params[key][rows]).sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(sq_norms))
+        if bad.size:
+            norm = float(np.sqrt(sq_norms[bad[0]]))
+            raise TrainingDivergedError(
+                f"modality {key!r} row {int(rows[bad[0]])} has parameter norm {norm!r} after {after} "
+                f"(learning_rate={self.learning_rate}, weight_decay={self.weight_decay}, momentum={self.momentum})"
+            )
+
+    def _catch_up(self, key: str, rows: np.ndarray) -> None:
+        lag = self.steps - self._current[key][rows]
+        stale = lag > 0
+        if not stale.any():
+            return
+        rows, a = rows[stale], self._power(lag[stale])[..., None]
+        theta, vel = self.params[key][rows], self.velocity[key][rows]
+        self.params[key][rows] = a[:, 0, 0] * theta + a[:, 0, 1] * vel
+        self.velocity[key][rows] = a[:, 1, 0] * theta + a[:, 1, 1] * vel
+        self._current[key][rows] = self.steps
+        self._check(key, rows, "catch-up")
+
+    def features(self, key: str, rows: np.ndarray) -> np.ndarray:
+        """Row-normalized current parameters of modality ``key``'s rows."""
+        self._catch_up(key, rows)
+        return normalize_rows(self.params[key][rows])
 
     def sets(self) -> tuple[EmbeddingSet, EmbeddingSet]:
         out = []
         for key in ("v", "r"):
+            self._catch_up(key, np.arange(len(self.params[key])))
             out.append(
                 EmbeddingSet(
                     features=normalize_rows(self.params[key]),
@@ -136,16 +197,26 @@ class TrainableEmbeddings:
             )
         return out[0], out[1]
 
-    def apply_step(self, grad_v: np.ndarray, grad_r: np.ndarray, cfg: PipelineConfig) -> None:
-        for key, grad in (("v", grad_v), ("r", grad_r)):
-            theta = self.params[key]
+    def apply_step(
+        self, grad_v: np.ndarray, grad_r: np.ndarray, rows_v: np.ndarray, rows_r: np.ndarray
+    ) -> None:
+        """One SGD step.  ``grad_v[i]`` is the gradient w.r.t. the normalized
+        view of the distinct visible row ``rows_v[i]`` (likewise infrared);
+        every other row has zero gradient and is caught up when read."""
+        for key, grad, rows in (("v", grad_v, rows_v), ("r", grad_r, rows_r)):
+            self._catch_up(key, rows)
+            theta = self.params[key][rows]
             norms = np.maximum(np.linalg.norm(theta, axis=1, keepdims=True), 1e-12)
             unit = theta / norms
             # d(theta/|theta|)/dtheta applied to the normalized-view gradient
             g_theta = (grad - (grad * unit).sum(axis=1, keepdims=True) * unit) / norms
-            g_theta = g_theta + cfg.weight_decay * theta
-            self.velocity[key] = cfg.momentum * self.velocity[key] + g_theta
-            theta -= cfg.learning_rate * self.velocity[key]
+            g_theta = g_theta + self.weight_decay * theta
+            velocity = self.momentum * self.velocity[key][rows] + g_theta
+            self.velocity[key][rows] = velocity
+            self.params[key][rows] = theta - self.learning_rate * velocity
+            self._current[key][rows] = self.steps + 1
+            self._check(key, rows, "a step")
+        self.steps += 1
 
 
 def pk_sample(
@@ -159,12 +230,12 @@ def pk_sample(
     Picks cfg.batch_ids labels occupied on both sides (all of them, with the
     shortfall reported, when fewer exist), then per label per_id_visible
     visible and per_id_infrared infrared samples; a side with fewer members
-    than requested is sampled with replacement.
+    than requested is sampled with replacement.  Both labelings are
+    contiguous, so the labels occupied on both sides are
+    0..min(cluster counts)-1.  The rows come label-major: the visible rows
+    of the i-th chosen label are ``vis_idx[i * per_id_visible:][:per_id_visible]``.
     """
-    shared = np.intersect1d(
-        np.unique(vis_labels.labels[vis_labels.labels >= 0]),
-        np.unique(inf_labels.labels[inf_labels.labels >= 0]),
-    )
+    shared = np.arange(min(vis_labels.cluster_count, inf_labels.cluster_count))
     if shared.size == 0:
         raise ValueError("no label is occupied in both modalities")
     if shared.size >= cfg.batch_ids:
@@ -184,6 +255,15 @@ def pk_sample(
             rng.choice(members_r, size=cfg.per_id_infrared, replace=members_r.size < cfg.per_id_infrared)
         )
     return np.concatenate(vis_idx), np.concatenate(inf_idx), np.asarray(chosen), shortfall
+
+
+@contextmanager
+def _diverged_at(where: str):
+    """Prefix a TrainingDivergedError raised inside with where it happened."""
+    try:
+        yield
+    except TrainingDivergedError as err:
+        raise TrainingDivergedError(f"{where}: {err}") from None
 
 
 def _confidence_or_uniform(losses: IdLossVector, cfg: PipelineConfig) -> ConfidenceWeights:
@@ -224,7 +304,8 @@ def _metric_report(
 def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) -> EpochState:
     """The epoch-start half: cluster, match, weigh and evaluate.  The state
     returned is that of an evaluation-only pass (zero losses)."""
-    visible, infrared = trainable.sets()
+    with _diverged_at(f"epoch {epoch}, at its start"):
+        visible, infrared = trainable.sets()
     labels_v_raw, labels_r_raw, labels_joint = cluster_joint(visible, infrared, cfg)
     for lab in (labels_v_raw, labels_r_raw, labels_joint):
         if lab.cluster_count == 0:
@@ -311,22 +392,27 @@ def run_epoch(
     n_batches = batches_per_epoch(cfg, n_vis, n_inf)
     sums = dict.fromkeys(_LOSS_TERMS, 0.0)
     notes: list[str] = []
-    for _ in range(n_batches):
+    for batch in range(1, n_batches + 1):
         vis_idx, inf_idx, used, shortfall = pk_sample(state.labels_v, state.labels_r, cfg, sampler)
         if shortfall and not notes:  # the shortfall note is the loop's only note
             notes.append(
                 f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} "
                 f"(shortfall {shortfall})"
             )
-        fv = normalize_rows(trainable.params["v"][vis_idx])
-        fr = normalize_rows(trainable.params["r"][inf_idx])
-        buf_v = GradientBuffer.zeros(n_vis, fv.shape[1])
-        buf_r = GradientBuffer.zeros(n_inf, fr.shape[1])
+        # gradients are kept per distinct batch row: local_v[i] is the
+        # buffer row of sample vis_idx[i]
+        rows_v, local_v = np.unique(vis_idx, return_inverse=True)
+        rows_r, local_r = np.unique(inf_idx, return_inverse=True)
+        with _diverged_at(f"epoch {epoch}, batch {batch}"):
+            fv = trainable.features("v", rows_v)[local_v]
+            fr = trainable.features("r", rows_r)[local_r]
+        buf_v = GradientBuffer.zeros(rows_v.size, fv.shape[1])
+        buf_r = GradientBuffer.zeros(rows_r.size, fr.shape[1])
 
         l_v, g_v = cluster_nce(fv, state.labels_v.labels[vis_idx], state.wbank_v, cfg.tau)
-        buf_v.add_rows(vis_idx, g_v)
+        buf_v.add_rows(local_v, g_v)
         l_r, g_r = cluster_nce(fr, state.labels_r.labels[inf_idx], state.wbank_r, cfg.tau)
-        buf_r.add_rows(inf_idx, g_r)
+        buf_r.add_rows(local_r, g_r)
 
         jl_v = state.labels_joint.labels[vis_idx]
         jl_r = state.labels_joint.labels[n_vis + inf_idx]
@@ -337,30 +423,29 @@ def run_epoch(
             labs_vr = np.concatenate([jl_v[keep_v], jl_r[keep_r]])
             l_vr, g_vr = cluster_nce(feats_vr, labs_vr, state.wbank_joint, cfg.tau)
             split = int(keep_v.sum())
-            buf_v.add_rows(vis_idx[keep_v], g_vr[:split])
-            buf_r.add_rows(inf_idx[keep_r], g_vr[split:])
+            buf_v.add_rows(local_v[keep_v], g_vr[:split])
+            buf_r.add_rows(local_r[keep_r], g_vr[split:])
 
         l_intra = 0.0
         if do_intra:
             li_v, gi_v = intra_alignment(fv, state.labels_v.labels[vis_idx], state.wbank_v)
             li_r, gi_r = intra_alignment(fr, state.labels_r.labels[inf_idx], state.wbank_r)
             l_intra = li_v + li_r
-            buf_v.add_rows(vis_idx, cfg.lambda_intra * gi_v)
-            buf_r.add_rows(inf_idx, cfg.lambda_intra * gi_r)
+            buf_v.add_rows(local_v, cfg.lambda_intra * gi_v)
+            buf_r.add_rows(local_r, cfg.lambda_intra * gi_r)
 
         l_inter = 0.0
         if do_inter:
-            batch_lv = state.labels_v.labels[vis_idx]
-            batch_lr = state.labels_r.labels[inf_idx]
-            vis_groups = {int(l): fv[batch_lv == l] for l in used}
-            inf_groups = {int(l): fr[batch_lr == l] for l in used}
+            # pk_sample's rows are label-major, so each label's group is a block
+            chosen = used.tolist()
+            vis_groups = dict(zip(chosen, fv.reshape(len(chosen), cfg.per_id_visible, -1)))
+            inf_groups = dict(zip(chosen, fr.reshape(len(chosen), cfg.per_id_infrared, -1)))
             l_inter, vg, ig, _ = inter_loss(vis_groups, inf_groups, cfg.mmd_sigma)
-            for label, grad in vg.items():
-                buf_v.add_rows(vis_idx[batch_lv == label], cfg.lambda_inter * grad)
-            for label, grad in ig.items():
-                buf_r.add_rows(inf_idx[batch_lr == label], cfg.lambda_inter * grad)
+            buf_v.add_rows(local_v, cfg.lambda_inter * np.concatenate([vg[l] for l in chosen]))
+            buf_r.add_rows(local_r, cfg.lambda_inter * np.concatenate([ig[l] for l in chosen]))
 
-        trainable.apply_step(buf_v.g, buf_r.g, cfg)
+        with _diverged_at(f"epoch {epoch}, batch {batch}"):
+            trainable.apply_step(buf_v.g, buf_r.g, rows_v, rows_r)
         for term, value in zip(_LOSS_TERMS, (l_v, l_r, l_vr, l_intra, l_inter)):
             sums[term] += value
 
@@ -413,7 +498,7 @@ def run_training(
         if wrong.size:
             row, found = wrong[0], str(embedding_set.modality[wrong[0]])
             raise ValueError(f"invalid {name} set: row {row} has modality tag {found!r}, expected {tag!r}")
-    trainable = TrainableEmbeddings(visible, infrared)
+    trainable = TrainableEmbeddings(visible, infrared, cfg)
     sampler = named_stream(cfg.seed, "sampler")
     history = []
     for epoch in range(1, cfg.epochs + 1):

@@ -188,3 +188,100 @@ def naive_retrieval_eval(query, gallery, ranks=RANKS) -> RetrievalReport:
         valid_queries=valid,
         excluded_queries=excluded,
     )
+
+
+def dense_sgd_replay(theta, steps, learning_rate: float, momentum: float, weight_decay: float):
+    """Replay SGD steps updating every row at every step.
+
+    ``steps`` lists (rows, grad) per step: grad[i] is the normalized-view
+    gradient of row rows[i]; all other rows get zero.  Each step chains the
+    gradient through the row normalization, adds weight decay, then updates
+    momentum and parameters of all N rows.  Returns (theta, velocity).
+    """
+    theta = np.array(theta, dtype=float)
+    velocity = np.zeros_like(theta)
+    for rows, grad in steps:
+        full = np.zeros_like(theta)
+        full[rows] = grad
+        norms = np.maximum(np.linalg.norm(theta, axis=1, keepdims=True), 1e-12)
+        unit = theta / norms
+        g_theta = (full - (full * unit).sum(axis=1, keepdims=True) * unit) / norms
+        g_theta = g_theta + weight_decay * theta
+        velocity = momentum * velocity + g_theta
+        theta -= learning_rate * velocity
+    return theta, velocity
+
+
+def _naive_sq_dists(a, b):
+    d = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d, 0.0)
+
+
+def _naive_mmd2_grad_first(x, y, sigma: float):
+    n, m = x.shape[0], y.shape[0]
+    kxx, kxy, kyy = (np.exp(-_naive_sq_dists(a, b) / (2.0 * sigma**2)) for a, b in ((x, x), (x, y), (y, y)))
+    value = float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())
+    gxx = (kxx @ x - kxx.sum(axis=1)[:, None] * x) / (n * n)
+    gxy = (kxy @ y - kxy.sum(axis=1)[:, None] * x) / (n * m)
+    return value, (2.0 / sigma**2) * (gxx - gxy)
+
+
+def naive_inter_loss(vis_groups, inf_groups, sigma, terms=("visible", "infrared")):
+    """Cross-modality MMD alignment, one label at a time: for every label
+    non-empty on both sides, 1/2 mmd2(v, sg(r)) + 1/2 mmd2(r, sg(v)), with
+    sigma a number or "median" (median pairwise distance of the label's
+    union, self-pairs excluded, floored at 1e-12), averaged over the labels.
+    Returns (loss, visible grads, infrared grads, skipped labels)."""
+    keys = sorted(set(vis_groups) | set(inf_groups))
+    shared = [k for k in keys if len(vis_groups.get(k, ())) and len(inf_groups.get(k, ()))]
+    skipped = [k for k in keys if k not in shared]
+    vis_grads, inf_grads = {}, {}
+    if not shared:
+        return 0.0, vis_grads, inf_grads, skipped
+    p = len(shared)
+    total = 0.0
+    for k in shared:
+        xv = np.asarray(vis_groups[k], dtype=float)
+        xr = np.asarray(inf_groups[k], dtype=float)
+        if isinstance(sigma, str):
+            union = np.vstack([xv, xr])
+            d = np.sqrt(_naive_sq_dists(union, union))
+            iu = np.triu_indices(union.shape[0], k=1)
+            s = max(float(np.median(d[iu])) if iu[0].size else 0.0, 1e-12)
+        else:
+            s = float(sigma)
+        if "visible" in terms:
+            val_v, grad_v = _naive_mmd2_grad_first(xv, xr, s)
+            total += 0.5 * val_v
+            vis_grads[k] = 0.5 * grad_v / p
+        if "infrared" in terms:
+            val_r, grad_r = _naive_mmd2_grad_first(xr, xv, s)
+            total += 0.5 * val_r
+            inf_grads[k] = 0.5 * grad_r / p
+    return total / p, vis_grads, inf_grads, skipped
+
+
+def naive_pk_sample(vis_labels, inf_labels, cfg, rng):
+    """PK batch by scanning the label vectors: the labels occupied on both
+    sides by set intersection, each label's members by a full comparison."""
+    vis, inf = vis_labels.labels, inf_labels.labels
+    shared = np.intersect1d(np.unique(vis[vis >= 0]), np.unique(inf[inf >= 0]))
+    if shared.size == 0:
+        raise ValueError("no label is occupied in both modalities")
+    if shared.size >= cfg.batch_ids:
+        chosen = rng.choice(shared, size=cfg.batch_ids, replace=False)
+        shortfall = 0
+    else:
+        chosen = shared
+        shortfall = cfg.batch_ids - shared.size
+    vis_idx, inf_idx = [], []
+    for label in chosen:
+        members_v = np.flatnonzero(vis == label)
+        members_r = np.flatnonzero(inf == label)
+        vis_idx.append(
+            rng.choice(members_v, size=cfg.per_id_visible, replace=members_v.size < cfg.per_id_visible)
+        )
+        inf_idx.append(
+            rng.choice(members_r, size=cfg.per_id_infrared, replace=members_r.size < cfg.per_id_infrared)
+        )
+    return np.concatenate(vis_idx), np.concatenate(inf_idx), np.asarray(chosen), shortfall

@@ -1,5 +1,7 @@
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memmatch.cli import main
@@ -130,6 +132,24 @@ def test_train_non_finite_override_exit_2(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dbscan_eps must be finite" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_train_diverged_exit_3(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(spec_to_text(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21)))
+    data = tmp_path / "data"
+    assert main(["generate", "--spec", str(spec), "--out", str(data)]) == 0
+    args = [
+        "train",
+        "--visible", str(data / "visible.emb"),
+        "--infrared", str(data / "infrared.emb"),
+        "epochs=2", "dbscan_eps=0.3", "learning_rate=1e150", "weight_decay=0.5",
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"runtime diagnostic: epoch [12], batch \d+: modality '[vr]' row \d+", err)
+    assert "zero clusters" not in err
 
 
 def test_eval_consumes_train_output(data_dir, tmp_path, capsys):

@@ -79,6 +79,17 @@ class TestPseudoLabeling:
         assert lab.members(1).tolist() == [1, 3]
         assert lab.noise_mask.tolist() == [False, False, True, False, False]
 
+    @given(st.lists(st.integers(-1, 6), max_size=40))
+    def test_members_match_label_scan(self, raw):
+        # renumber the non-noise labels to 0..count-1 in order of value
+        raw = np.asarray(raw, dtype=np.int64)
+        values = np.unique(raw[raw >= 0])
+        labels = np.where(raw >= 0, np.searchsorted(values, raw), -1)
+        lab = PseudoLabeling.from_labels("v", labels)
+        for p in range(-2, lab.cluster_count + 2):
+            assert np.array_equal(lab.members(p), np.flatnonzero(labels == p))
+        assert np.array_equal(lab.cluster_sizes(), np.bincount(labels[labels >= 0], minlength=lab.cluster_count))
+
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
             PseudoLabeling(scope="v", labels=np.array([0, 2]), cluster_count=3)

@@ -15,7 +15,7 @@ from memmatch.objective import (
     mmd2,
     mmd2_grad_first,
 )
-from reference import finite_difference, gradient_gap, mmd2_double_loop
+from reference import finite_difference, gradient_gap, mmd2_double_loop, naive_inter_loss
 
 
 def random_bank(rng, p, d, scope="v"):
@@ -205,6 +205,24 @@ class TestInterLoss:
 
             numeric = finite_difference(inf_term, inf[label].copy())
             assert gradient_gap(gr[label], numeric) <= 1e-4
+
+    @pytest.mark.parametrize("terms", [("visible", "infrared"), ("visible",), ("infrared",)])
+    @pytest.mark.parametrize("sigma", [0.9, "median"])
+    def test_stacked_matches_per_label_loop(self, sigma, terms):
+        rng = np.random.default_rng(7)
+        # ragged size classes: (3, 4) twice, (2, 5), (1, 1) and (4, 4) once each
+        sizes = {0: (3, 4), 1: (2, 5), 2: (3, 4), 3: (1, 1), 5: (4, 4)}
+        vis = {k: rng.standard_normal((nv, 3)) for k, (nv, _) in sizes.items()}
+        inf = {k: rng.standard_normal((nr, 3)) for k, (_, nr) in sizes.items()}
+        vis[8] = rng.standard_normal((2, 3))  # one-sided: skipped
+        loss, gv, gr, skipped = inter_loss(vis, inf, sigma, terms)
+        want_loss, want_v, want_r, want_skipped = naive_inter_loss(vis, inf, sigma, terms)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert skipped == want_skipped == [8]
+        for got, want in ((gv, want_v), (gr, want_r)):
+            assert set(got) == set(want)
+            for k in want:
+                assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max()
 
     def test_median_sigma_mode_runs(self):
         rng = np.random.default_rng(6)

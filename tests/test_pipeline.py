@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,11 @@ from memmatch.clustering import build_memory
 from memmatch.dataio import write_embeddings
 from memmatch.matching import assignment_to_csv
 from memmatch.model import EmbeddingSet, PipelineConfig, PseudoLabeling, normalize_rows
+from memmatch.objective import GradientBuffer, cluster_nce, inter_loss, intra_alignment
 from memmatch.pipeline import (
     ClusteringCollapseError,
     TrainableEmbeddings,
+    TrainingDivergedError,
     ablation_configs,
     batches_per_epoch,
     config_tags,
@@ -18,7 +23,13 @@ from memmatch.pipeline import (
 )
 from memmatch.rng import named_stream
 from memmatch.synth import SynthSpec, generate
-from reference import brute_force_assignment, finite_difference
+from reference import (
+    brute_force_assignment,
+    dense_sgd_replay,
+    finite_difference,
+    gradient_gap,
+    naive_pk_sample,
+)
 
 
 def tiny_spec(**overrides):
@@ -100,12 +111,36 @@ class TestPkSample:
         assert np.all(vis.labels[vis_idx] == 0)
         assert np.all(inf.labels[inf_idx] == 0)
 
+    @pytest.mark.parametrize(
+        "vis_labels, inf_labels, overrides",
+        [
+            # noise on both sides, cfg defaults
+            (np.repeat(np.arange(10), 6), np.r_[np.repeat(np.arange(10), 5), [-1, -1]], {}),
+            # three shared labels for batch_ids=8: shortfall 5
+            ([0, 0, 1, 1, 2, 2, -1], [2, 1, 0, 0, 1, 2], {}),
+            # unequal cluster counts, 12 visible and 7 infrared
+            (np.repeat(np.arange(12), 3), np.r_[np.repeat(np.arange(7), 4), -1], {"batch_ids": 5}),
+            # members fewer than requested: drawn with replacement
+            ([0, 1, 1, 2, 2, 2, 3, -1], [3, 2, 1, 0, 0, 1], {"batch_ids": 3, "per_id_visible": 3}),
+        ],
+    )
+    def test_matches_naive_sampler(self, vis_labels, inf_labels, overrides):
+        vis = PseudoLabeling.from_labels("v", vis_labels)
+        inf = PseudoLabeling.from_labels("r", inf_labels)
+        cfg = PipelineConfig(**overrides)
+        fast, naive = named_stream(7, "sampler"), named_stream(7, "sampler")
+        for _ in range(5):
+            got, want = pk_sample(vis, inf, cfg, fast), naive_pk_sample(vis, inf, cfg, naive)
+            for a, b in zip(got[:3], want[:3]):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert got[3] == want[3]
+
 
 class TestTrainableEmbeddings:
     def test_normalized_view_valid(self):
         rng = np.random.default_rng(0)
         vis, inf = generate(tiny_spec())
-        t = TrainableEmbeddings(vis, inf)
+        t = TrainableEmbeddings(vis, inf, PipelineConfig())
         t.params["v"] *= 3.0  # denormalize raw parameters
         out_v, _ = t.sets()
         assert np.allclose(np.linalg.norm(out_v.features, axis=1), 1.0, atol=1e-12)
@@ -113,7 +148,8 @@ class TestTrainableEmbeddings:
     def test_step_matches_normalization_chain_rule(self):
         rng = np.random.default_rng(4)
         vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=3))
-        t = TrainableEmbeddings(vis, inf)
+        cfg = PipelineConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0)
+        t = TrainableEmbeddings(vis, inf, cfg)
         t.params["v"] *= 1.7  # make the normalization non-trivial
         theta0 = t.params["v"].copy()
         a = rng.standard_normal(theta0.shape)
@@ -122,18 +158,79 @@ class TestTrainableEmbeddings:
             return float((normalize_rows(theta) * a).sum())
 
         numeric = finite_difference(toy_loss, theta0.copy())
-        cfg = PipelineConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0)
-        t.apply_step(a, np.zeros_like(t.params["r"]), cfg)
+        t.apply_step(a, np.zeros_like(t.params["r"]), np.arange(len(vis)), np.arange(len(inf)))
         taken_step = theta0 - t.params["v"]
         assert np.abs(taken_step - numeric).max() <= 1e-6
 
     def test_weight_decay_on_raw_parameters(self):
         vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=3))
-        t = TrainableEmbeddings(vis, inf)
-        theta0 = t.params["v"].copy()
         cfg = PipelineConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.1)
-        t.apply_step(np.zeros_like(theta0), np.zeros_like(t.params["r"]), cfg)
+        t = TrainableEmbeddings(vis, inf, cfg)
+        theta0 = t.params["v"].copy()
+        t.apply_step(np.zeros_like(theta0), np.zeros_like(t.params["r"]), np.arange(len(vis)), np.arange(len(inf)))
         assert np.allclose(t.params["v"], theta0 * (1 - 0.5 * 0.1))
+
+
+    @pytest.mark.parametrize("overrides", [{"momentum": 0.0}, {}], ids=["momentum0", "defaults"])
+    def test_lazy_steps_match_dense_replay(self, overrides):
+        rng = np.random.default_rng(11)
+        n_v, n_r, d = 40, 25, 6
+        vis = EmbeddingSet(features=normalize_rows(rng.standard_normal((n_v, d))), modality=np.full(n_v, "v"))
+        inf = EmbeddingSet(features=normalize_rows(rng.standard_normal((n_r, d))), modality=np.full(n_r, "r"))
+        cfg = PipelineConfig(**overrides)
+        t = TrainableEmbeddings(vis, inf, cfg)
+        steps = {"v": [], "r": []}
+        for step in range(1000):
+            grads = {}
+            for key, n in (("v", n_v), ("r", n_r)):
+                # rows 30.. of the visible side sit untouched for hundreds of steps
+                pool = n if key == "r" or step in (0, 1, 400, 401, 997) else 30
+                batch = rng.integers(0, pool, size=6)  # repeats within a batch
+                rows, local = np.unique(batch, return_inverse=True)
+                buf = GradientBuffer.zeros(rows.size, d)
+                buf.add_rows(local, rng.standard_normal((batch.size, d)))
+                if step % 3 == 0:  # read the batch first, as the training loop does
+                    t.features(key, rows)
+                grads[key] = (rows, buf.g)
+                steps[key].append((rows, buf.g.copy()))
+            t.apply_step(grads["v"][1], grads["r"][1], grads["v"][0], grads["r"][0])
+            if step % 250 == 0:  # an epoch start reads every row
+                t.sets()
+        t.sets()
+        for key, theta0 in (("v", vis.features), ("r", inf.features)):
+            theta, velocity = dense_sgd_replay(
+                theta0, steps[key], cfg.learning_rate, cfg.momentum, cfg.weight_decay
+            )
+            assert np.abs(t.params[key] - theta).max() <= 1e-10 * np.abs(theta).max()
+            assert np.abs(t.velocity[key] - velocity).max() <= 1e-10 * np.abs(velocity).max()
+
+    def test_non_finite_catch_up_raises(self):
+        vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=3))
+        t = TrainableEmbeddings(vis, inf, PipelineConfig(learning_rate=1e150, weight_decay=0.5))
+        no_grad, no_rows = np.zeros((0, vis.dim)), np.empty(0, np.int64)
+        for _ in range(3):  # steps touching no row; |1 - lr * wd| = 5e149 per step
+            t.apply_step(no_grad, no_grad, no_rows, no_rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="modality 'v' row 3 .* after catch-up"):
+                t.features("v", np.array([3, 4]))
+
+    def test_small_step_allocates_less_than_one_parameter_matrix(self):
+        n, d = 200_000, 64
+        vis = EmbeddingSet(features=np.full((n, d), 0.125), modality=np.full(n, "v"))
+        inf = EmbeddingSet(features=np.full((16, d), 0.125), modality=np.full(16, "r"))
+        t = TrainableEmbeddings(vis, inf, PipelineConfig())
+        del vis
+        rng = np.random.default_rng(5)
+        no_rows = np.empty(0, np.int64)
+        t.apply_step(rng.standard_normal((16, d)), np.zeros((0, d)), np.arange(16) * 997, no_rows)
+        tracemalloc.start()
+        try:
+            t.apply_step(rng.standard_normal((16, d)), np.zeros((0, d)), np.arange(16) * 1009, no_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
+        assert t.steps == 2
 
 
 class TestRunEpoch:
@@ -208,6 +305,48 @@ class TestRunEpoch:
         assert lines[0] == "visible_cluster,infrared_cluster,cost"
         assert [line.split(",")[:2] for line in lines[1:]] == [["0", "1"]]
 
+    def test_step_is_gradient_of_batch_loss(self):
+        # one batch per epoch, plain SGD at learning rate 1: the step taken is
+        # the gradient of the batch's weighted loss w.r.t. the raw parameters
+        # (a fixed MMD bandwidth, as the median one is a constant in the
+        # gradient; each side's MMD half holds the other side constant)
+        vis, inf = generate(tiny_spec())
+        cfg = tiny_cfg(
+            epochs=1, batch_ids=5, per_id_visible=8, per_id_infrared=8,
+            learning_rate=1.0, momentum=0.0, weight_decay=0.0, mmd_sigma=0.8,
+        )
+        t = TrainableEmbeddings(vis, inf, cfg)
+        state = run_epoch(t, cfg, 1, named_stream(cfg.seed, "sampler"))
+        vis_idx, inf_idx, used, _ = pk_sample(state.labels_v, state.labels_r, cfg, named_stream(cfg.seed, "sampler"))
+        rows_v, local_v = np.unique(vis_idx, return_inverse=True)
+        rows_r, local_r = np.unique(inf_idx, return_inverse=True)
+        lab_v, lab_r = state.labels_v.labels, state.labels_r.labels
+        joint_v, joint_r = state.labels_joint.labels[vis_idx], state.labels_joint.labels[len(vis) + inf_idx]
+
+        def batch_loss(theta_v, theta_r, terms):
+            fv, fr = normalize_rows(theta_v)[local_v], normalize_rows(theta_r)[local_r]
+            keep_v, keep_r = joint_v >= 0, joint_r >= 0
+            loss = cluster_nce(fv, lab_v[vis_idx], state.wbank_v, cfg.tau)[0]
+            loss += cluster_nce(fr, lab_r[inf_idx], state.wbank_r, cfg.tau)[0]
+            loss += cluster_nce(
+                np.vstack([fv[keep_v], fr[keep_r]]),
+                np.concatenate([joint_v[keep_v], joint_r[keep_r]]),
+                state.wbank_joint,
+                cfg.tau,
+            )[0]
+            intra = intra_alignment(fv, lab_v[vis_idx], state.wbank_v)[0]
+            intra += intra_alignment(fr, lab_r[inf_idx], state.wbank_r)[0]
+            groups_v = {int(l): fv[lab_v[vis_idx] == l] for l in used}
+            groups_r = {int(l): fr[lab_r[inf_idx] == l] for l in used}
+            inter = inter_loss(groups_v, groups_r, cfg.mmd_sigma, terms)[0]
+            return loss + cfg.lambda_intra * intra + cfg.lambda_inter * inter
+
+        theta_v, theta_r = vis.features[rows_v].copy(), inf.features[rows_r].copy()
+        numeric_v = finite_difference(lambda th: batch_loss(th, theta_r, ("visible",)), theta_v.copy())
+        numeric_r = finite_difference(lambda th: batch_loss(theta_v, th, ("infrared",)), theta_r.copy())
+        assert gradient_gap(theta_v - t.params["v"][rows_v], numeric_v) <= 1e-4
+        assert gradient_gap(theta_r - t.params["r"][rows_r], numeric_r) <= 1e-4
+
     def test_collapse_raises_diagnostic(self):
         rng = np.random.default_rng(0)
         feats = normalize_rows(rng.standard_normal((6, 8)))
@@ -279,6 +418,14 @@ class TestRunTraining:
         # rebuilding from the *final* features must differ once training moved them
         moved = build_memory(state.visible, state.labels_v, state.conf_v)
         assert np.array_equal(moved.centroids, state.wbank_v.centroids)
+
+    def test_diverged_step_raises_training_diverged(self):
+        vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
+        cfg = PipelineConfig(epochs=2, dbscan_eps=0.3, learning_rate=1e150, weight_decay=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                run_training(vis, inf, cfg)
+        assert re.match(r"epoch [12], batch \d+: modality '[vr]' row \d+ has parameter norm", str(err.value))
 
     def test_tags_for_single_memory(self):
         assert "baseline-matching" in config_tags(PipelineConfig(n_memories=1))
