@@ -38,6 +38,8 @@ def read_embeddings(path) -> EmbeddingSet:
         dim = int(lines[0][2:])
     except ValueError:
         raise DataFormatError(f"{path}: bad dimension header {lines[0]!r}") from None
+    if dim < 1:
+        raise DataFormatError(f"{path}: dimension header {lines[0]!r} must be at least 1")
     feats, tags, ids = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")

@@ -24,7 +24,18 @@ VARIANCE_FLOOR = 1e-6
 
 
 def _frozen(values, dtype=None) -> np.ndarray:
+    """A read-only array of ``values``.  An ndarray that already has the
+    dtype, owns its data and is read-only is adopted without a copy; any
+    other input, a caller's writable array included, is copied."""
+    owned = isinstance(values, np.ndarray) and values.base is None and not values.flags.writeable
+    if owned and (dtype is None or values.dtype == dtype):
+        return values
     arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
@@ -111,10 +122,10 @@ def concat_sets(visible: EmbeddingSet, infrared: EmbeddingSet) -> EmbeddingSet:
     """Stack two sets, visible rows first. Truth is kept only if both carry it."""
     truth = None
     if visible.true_identity is not None and infrared.true_identity is not None:
-        truth = np.concatenate([visible.true_identity, infrared.true_identity])
+        truth = _read_only(np.concatenate([visible.true_identity, infrared.true_identity]))
     return EmbeddingSet(
-        features=np.vstack([visible.features, infrared.features]),
-        modality=np.concatenate([visible.modality, infrared.modality]),
+        features=_read_only(np.vstack([visible.features, infrared.features])),
+        modality=_read_only(np.concatenate([visible.modality, infrared.modality])),
         true_identity=truth,
     )
 

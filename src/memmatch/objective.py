@@ -2,12 +2,13 @@
 
 Cluster memories are constants inside every term: they are rebuilt from the
 labelings at the start of each epoch, never backpropagated through.  The
-kernel two-sample distance is the biased V-statistic (self-pairs included).
+kernel two-sample distance is the biased V-statistic (self-pairs included)
+of Gretton et al. (JMLR 2012), taken per pseudo-label over stacked
+(L, n, d) blocks: the L labels of one PK batch, n rows each.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -175,124 +176,49 @@ def _kernel(sq: np.ndarray, sigma) -> np.ndarray:
     return np.exp(-sq / (2.0 * s**2))
 
 
-def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma) -> np.ndarray:
-    """exp(-|a_i - b_j|^2 / 2 sigma^2); sigma is a number or one value per
-    leading batch index."""
-    return _kernel(_sq_dists(a, b), sigma)
-
-
-def _median_pair_dist(sq: np.ndarray):
-    # sq: (..., n, n) squared distances within one set; self-pairs excluded
+def _median_pair_dist(sq: np.ndarray) -> np.ndarray:
+    # sq: (L, n, n) squared distances within each set, n >= 2; self-pairs excluded
     iu = np.triu_indices(sq.shape[-1], k=1)
-    pairs = np.sqrt(sq[..., iu[0], iu[1]])
-    med = np.median(pairs, axis=-1) if iu[0].size else np.zeros(pairs.shape[:-1])
-    out = np.maximum(med, 1e-12)
-    return float(out) if out.ndim == 0 else out
-
-
-def median_sigma(x: np.ndarray, y: np.ndarray):
-    """Median pairwise Euclidean distance over the union of both sets
-    (self-pairs excluded), floored away from zero.  A float for (n, d)
-    sets, one value per batch index for stacked (..., n, d) sets."""
-    union = np.concatenate([x, y], axis=-2)
-    return _median_pair_dist(_sq_dists(union, union))
-
-
-def mmd2(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """Squared maximum mean discrepancy, biased V-statistic.
-
-    (1/|X|^2) sum k(x,x') + (1/|Y|^2) sum k(y,y') - (2/|X||Y|) sum k(x,y),
-    with every double sum running over all ordered pairs including self-pairs.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        raise ValueError("both sets must be non-empty")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return float(
-        gaussian_kernel(x, x, sigma).mean()
-        + gaussian_kernel(y, y, sigma).mean()
-        - 2.0 * gaussian_kernel(x, y, sigma).mean()
-    )
+    return np.maximum(np.median(np.sqrt(sq[..., iu[0], iu[1]]), axis=-1), 1e-12)
 
 
 def _mmd2_grad(kxx, kxy, kyy, x, y, sigma):
-    # mmd2 and its gradient w.r.t. x, from the three kernel blocks
+    # MMD^2 per label and its gradient w.r.t. x, from the three kernel blocks
     n, m = x.shape[-2], y.shape[-2]
     value = kxx.mean(axis=(-2, -1)) + kyy.mean(axis=(-2, -1)) - 2.0 * kxy.mean(axis=(-2, -1))
     # d k(a,b)/da = k(a,b) * (b - a) / sigma^2
     gxx = (kxx @ x - kxx.sum(axis=-1)[..., None] * x) / (n * n)
     gxy = (kxy @ y - kxy.sum(axis=-1)[..., None] * x) / (n * m)
     grad = (2.0 / np.asarray(sigma, dtype=float) ** 2)[..., None, None] * (gxx - gxy)
-    return (float(value) if value.ndim == 0 else value), grad
-
-
-def mmd2_grad_first(x: np.ndarray, y: np.ndarray, sigma):
-    """mmd2(x, y, sigma) plus its gradient w.r.t. x with y held constant
-    (stop-gradient on the second argument).  Stacked (..., n, d) and
-    (..., m, d) sets, with sigma a number or one value per batch index,
-    give one value per batch index and a (..., n, d) gradient."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    return _mmd2_grad(
-        gaussian_kernel(x, x, sigma), gaussian_kernel(x, y, sigma), gaussian_kernel(y, y, sigma), x, y, sigma
-    )
+    return value, grad
 
 
 def inter_loss(
-    vis_groups: Mapping[int, np.ndarray],
-    inf_groups: Mapping[int, np.ndarray],
-    sigma: float | str,
-    terms: Sequence[str] = ("visible", "infrared"),
-) -> tuple[float, dict[int, np.ndarray], dict[int, np.ndarray], list[int]]:
+    xv: np.ndarray, xr: np.ndarray, sigma: float | str
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Cluster-paired distribution alignment across modalities.
 
-    For every label present with samples on both sides, adds
-    1/2 * D(visible, sg(infrared)) and 1/2 * D(infrared, sg(visible)) with
-    D = mmd2, averaged over the P used labels.  Gradients of the first term
-    touch only visible rows and vice versa; ``terms`` restricts which halves
-    are active (used to verify the stop-gradient contract).  Labels missing
-    or empty on either side are skipped and reported.
+    ``xv`` (L, n, d) and ``xr`` (L, m, d) hold the visible and infrared rows
+    of L labels, label-major as ``pk_sample`` draws them: ``xv[l]`` and
+    ``xr[l]`` are the two sides of the l-th label.  The loss is
+    1/2 * D(visible, sg(infrared)) + 1/2 * D(infrared, sg(visible)) with D
+    the MMD^2, averaged over the L labels; the gradients come back shaped
+    like the inputs, those of the first term on the visible rows only and
+    vice versa.
 
-    sigma may be a number or "median" for a per-pair median heuristic; the
-    bandwidth is treated as a constant inside the gradient either way.
-    Labels with the same (visible, infrared) group sizes are stacked, and
-    each size class takes one distance and kernel computation over the
-    union of both sides, which serves the bandwidth and both halves; a PK
-    batch has exactly one size class.
+    sigma is a number or "median" for the per-label median pairwise
+    distance of the union of both sides (self-pairs excluded, floored at
+    1e-12); the bandwidth is a constant inside the gradient either way.  One
+    distance and kernel computation over the union serves the bandwidth and
+    both halves.
     """
-    keys = sorted(set(vis_groups) | set(inf_groups))
-    shared = [
-        k
-        for k in keys
-        if k in vis_groups and k in inf_groups and len(vis_groups[k]) and len(inf_groups[k])
-    ]
-    skipped = [k for k in keys if k not in shared]
-    vis_grads: dict[int, np.ndarray] = {}
-    inf_grads: dict[int, np.ndarray] = {}
-    if not shared:
-        return 0.0, vis_grads, inf_grads, skipped
-    size_classes: dict[tuple[int, int], list[int]] = {}
-    for k in shared:
-        size_classes.setdefault((len(vis_groups[k]), len(inf_groups[k])), []).append(k)
-    p = len(shared)
-    total = 0.0
-    for labels in size_classes.values():
-        xv = np.stack([np.asarray(vis_groups[k], dtype=float) for k in labels])
-        xr = np.stack([np.asarray(inf_groups[k], dtype=float) for k in labels])
-        n = xv.shape[1]
-        union = np.concatenate([xv, xr], axis=1)
-        sq = _sq_dists(union, union)
-        s = _median_pair_dist(sq) if isinstance(sigma, str) else float(sigma)
-        k = _kernel(sq, s)
-        kvv, kvr, krv, krr = k[:, :n, :n], k[:, :n, n:], k[:, n:, :n], k[:, n:, n:]
-        if "visible" in terms:
-            val_v, grad_v = _mmd2_grad(kvv, kvr, krr, xv, xr, s)
-            total += 0.5 * float(val_v.sum())
-            vis_grads.update(zip(labels, 0.5 * grad_v / p))
-        if "infrared" in terms:
-            val_r, grad_r = _mmd2_grad(krr, krv, kvv, xr, xv, s)
-            total += 0.5 * float(val_r.sum())
-            inf_grads.update(zip(labels, 0.5 * grad_r / p))
-    return total / p, vis_grads, inf_grads, skipped
+    p, n = xv.shape[0], xv.shape[1]
+    union = np.concatenate([xv, xr], axis=1)
+    sq = _sq_dists(union, union)
+    s = _median_pair_dist(sq) if isinstance(sigma, str) else float(sigma)
+    k = _kernel(sq, s)
+    kvv, kvr, krv, krr = k[:, :n, :n], k[:, :n, n:], k[:, n:, :n], k[:, n:, n:]
+    val_v, grad_v = _mmd2_grad(kvv, kvr, krr, xv, xr, s)
+    val_r, grad_r = _mmd2_grad(krr, krv, kvv, xr, xv, s)
+    total = 0.5 * float(val_v.sum()) + 0.5 * float(val_r.sum())
+    return total / p, 0.5 * grad_v / p, 0.5 * grad_r / p

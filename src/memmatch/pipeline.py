@@ -4,9 +4,9 @@ Per epoch: re-cluster everything, build memories, sub-cluster and match the
 two modalities, transfer labels into the shared space, weigh samples by GMM
 confidence, rebuild weighted memories, then run PK-sampled batches of SGD on
 the raw embedding parameters (gradients are chain-ruled through the row
-normalization).  All randomness derives from cfg.seed through named streams
-("cluster", "kmeans", "sampler", "synth"), so subsystems are independently
-reproducible.
+normalization).  The only randomness is the PK sampler's, the named stream
+"sampler" of cfg.seed (clustering and k-means are deterministic); synthetic
+data draws from its own stream, "synth" of SynthSpec.seed.
 """
 from __future__ import annotations
 
@@ -134,11 +134,9 @@ class TrainableEmbeddings:
     def __init__(self, visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig):
         self.params = {"v": visible.features.copy(), "r": infrared.features.copy()}
         self.velocity = {k: np.zeros_like(p) for k, p in self.params.items()}
-        self.modality = {"v": visible.modality.copy(), "r": infrared.modality.copy()}
-        self.truth = {
-            "v": None if visible.true_identity is None else visible.true_identity.copy(),
-            "r": None if infrared.true_identity is None else infrared.true_identity.copy(),
-        }
+        # read-only arrays, shared with the inputs and every set ``sets`` makes
+        self.modality = {"v": visible.modality, "r": infrared.modality}
+        self.truth = {"v": visible.true_identity, "r": infrared.true_identity}
         lr, mu, lam = cfg.learning_rate, cfg.momentum, cfg.weight_decay
         self.learning_rate, self.momentum, self.weight_decay = lr, mu, lam
         self.steps = 0
@@ -188,9 +186,11 @@ class TrainableEmbeddings:
         out = []
         for key in ("v", "r"):
             self._catch_up(key, np.arange(len(self.params[key])))
+            features = normalize_rows(self.params[key])
+            features.setflags(write=False)  # so the set adopts it without a copy
             out.append(
                 EmbeddingSet(
-                    features=normalize_rows(self.params[key]),
+                    features=features,
                     modality=self.modality[key],
                     true_identity=self.truth[key],
                 )
@@ -437,12 +437,13 @@ def run_epoch(
         l_inter = 0.0
         if do_inter:
             # pk_sample's rows are label-major, so each label's group is a block
-            chosen = used.tolist()
-            vis_groups = dict(zip(chosen, fv.reshape(len(chosen), cfg.per_id_visible, -1)))
-            inf_groups = dict(zip(chosen, fr.reshape(len(chosen), cfg.per_id_infrared, -1)))
-            l_inter, vg, ig, _ = inter_loss(vis_groups, inf_groups, cfg.mmd_sigma)
-            buf_v.add_rows(local_v, cfg.lambda_inter * np.concatenate([vg[l] for l in chosen]))
-            buf_r.add_rows(local_r, cfg.lambda_inter * np.concatenate([ig[l] for l in chosen]))
+            l_inter, vg, ig = inter_loss(
+                fv.reshape(used.size, cfg.per_id_visible, -1),
+                fr.reshape(used.size, cfg.per_id_infrared, -1),
+                cfg.mmd_sigma,
+            )
+            buf_v.add_rows(local_v, cfg.lambda_inter * vg.reshape(fv.shape))
+            buf_r.add_rows(local_r, cfg.lambda_inter * ig.reshape(fr.shape))
 
         with _diverged_at(f"epoch {epoch}, batch {batch}"):
             trainable.apply_step(buf_v.g, buf_r.g, rows_v, rows_r)
@@ -460,10 +461,6 @@ class TrainingResult:
     history: tuple[EpochState, ...]
     final: EpochState
     tags: tuple[str, ...]
-
-    @property
-    def final_metrics(self) -> MetricReport | None:
-        return self.final.metrics
 
 
 def config_tags(cfg: PipelineConfig) -> tuple[str, ...]:

@@ -124,7 +124,7 @@ def fit_gmm2(losses: IdLossVector) -> GmmFit:
     are sorted by mean after convergence.  Raises DegenerateLossError when
     fewer than two distinct values are available.
     """
-    data = losses.included_values() if isinstance(losses, IdLossVector) else np.asarray(losses, float)
+    data = losses.included_values()
     if data.shape[0] < 2:
         raise DegenerateLossError("need at least 2 samples to fit; assign uniform confidence 1")
     if np.all(data == data[0]):

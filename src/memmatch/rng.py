@@ -1,8 +1,9 @@
 """Named random streams derived from a single seed.
 
-Each subsystem pulls its own generator by name ("cluster", "kmeans",
-"sampler", "synth", ...) so reordering one subsystem's draws never perturbs
-another's.
+Each consumer pulls its own generator by name, so reordering one consumer's
+draws never perturbs another's.  There are two: "sampler" (the PK batches of
+training, seeded by PipelineConfig.seed) and "synth" (synthetic data, seeded
+by SynthSpec.seed); clustering and k-means draw nothing.
 """
 from __future__ import annotations
 

@@ -1,9 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memmatch
 from memmatch.cli import main
 from memmatch.synth import SynthSpec, spec_to_text
 
@@ -274,6 +278,24 @@ def test_train_swapped_modalities_exit_2(data_dir, tmp_path, capsys):
     assert "visible set: row 0 has modality tag 'r'" in capsys.readouterr().err
 
 
+def test_train_bad_dimension_header_exit_2(data_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.emb"
+    bad.write_text("d=-1\nv\n")
+    args = ["train", "--visible", str(bad), "--infrared", str(data_dir / "infrared.emb"), *FAST_CFG]
+    assert main(args) == 2
+    assert "dimension header 'd=-1' must be at least 1" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     code = main(["eval", "--visible", "/does/not/exist", "--infrared", "/nor/this"])
     assert code == 2
+
+
+def test_import_loads_no_scipy():
+    # the library and its CLI stay numpy-only: scipy is a test oracle, and
+    # importing scipy.optimize alone adds about 50 MB of peak RSS
+    src = str(Path(memmatch.__file__).resolve().parents[1])
+    code = "import sys, memmatch, memmatch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -39,6 +39,14 @@ class TestEmbeddingFiles:
         with pytest.raises(DataFormatError, match="header"):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("header", ["d=-1", "d=0"])
+    def test_dimension_below_one_rejected(self, tmp_path, header):
+        # "v" is the one field a d=-1 record needs
+        path = tmp_path / "x.emb"
+        path.write_text(f"{header}\nv\nv,0\n")
+        with pytest.raises(DataFormatError, match="must be at least 1"):
+            read_embeddings(path)
+
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "x.emb"
         path.write_text("d=3\nv,0,1.0,0.0\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -175,3 +177,46 @@ def test_concat_sets_order_and_truth():
     assert joint.true_identity.tolist() == [0, 1, 1, 0]
     no_truth = concat_sets(vis, make_set(np.eye(2), modality=["r", "r"]))
     assert no_truth.true_identity is None
+
+
+class TestFrozenArrays:
+    def test_writable_input_is_copied(self):
+        feats = normalize_rows(np.arange(1.0, 7.0).reshape(3, 2))
+        es = make_set(feats)
+        assert not np.shares_memory(es.features, feats)
+        assert not es.features.flags.writeable
+        feats[0] = [0.0, 1.0]
+        assert es.features[0, 1] != 1.0
+
+    def test_read_only_owner_is_adopted_and_views_copied(self):
+        feats = normalize_rows(np.arange(1.0, 7.0).reshape(3, 2))
+        feats.setflags(write=False)
+        assert make_set(feats).features is feats
+        view = feats[1:]
+        assert view.base is not None and not view.flags.writeable
+        assert not np.shares_memory(make_set(view).features, feats)
+        as_int = np.array([[1, 0], [0, 1]])
+        as_int.setflags(write=False)
+        assert make_set(as_int).features.dtype == float  # another dtype: converted
+
+    def test_concat_sets_holds_one_copy(self):
+        # 2000 x 64 rows a side: the joint features are 2 MB
+        rng = np.random.default_rng(0)
+        sides = [
+            EmbeddingSet(
+                features=normalize_rows(rng.standard_normal((2000, 64))),
+                modality=np.full(2000, tag),
+                true_identity=np.arange(2000),
+            )
+            for tag in ("v", "r")
+        ]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            joint = concat_sets(*sides)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        retained = after - before
+        assert retained >= joint.features.nbytes
+        assert peak - before < 1.5 * retained

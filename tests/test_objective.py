@@ -11,9 +11,6 @@ from memmatch.objective import (
     inter_loss,
     intra_alignment,
     loss_csv_row,
-    median_sigma,
-    mmd2,
-    mmd2_grad_first,
 )
 from reference import finite_difference, gradient_gap, mmd2_double_loop, naive_inter_loss
 
@@ -102,133 +99,133 @@ class TestIntra:
         assert gradient_gap(analytic, numeric) <= 1e-4
 
 
+def stacked(rng, labels=2, n=4, m=5, d=3):
+    return rng.standard_normal((labels, n, d)), rng.standard_normal((labels, m, d))
+
+
+def as_groups(x):
+    return dict(enumerate(x))
+
+
 class TestMmd2:
+    # With one label the loss is 1/2 D(x, y) + 1/2 D(y, x) = D(x, y), the MMD^2.
+
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((6, 3))
-        assert abs(mmd2(x, x, sigma=0.7)) <= 1e-12
+        x = rng.standard_normal((1, 6, 3))
+        assert abs(inter_loss(x, x.copy(), sigma=0.7)[0]) <= 1e-12
 
     def test_singleton_closed_form(self):
-        x, y = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
+        x, y = np.array([[[0.0, 0.0]]]), np.array([[[1.0, 1.0]]])
         expected = 2.0 - 2.0 * np.exp(-2.0 / (2.0 * 0.9**2))
-        assert mmd2(x, y, sigma=0.9) == pytest.approx(expected, abs=1e-12)
+        assert inter_loss(x, y, sigma=0.9)[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_double_loop_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((rng.integers(1, 9), 4))
-        y = rng.standard_normal((rng.integers(1, 9), 4))
+        xv, xr = stacked(rng, rng.integers(1, 4), rng.integers(1, 9), rng.integers(1, 9), 4)
         sigma = float(rng.uniform(0.3, 2.0))
-        assert mmd2(x, y, sigma) == pytest.approx(mmd2_double_loop(x, y, sigma), abs=1e-12)
+        want = np.mean([mmd2_double_loop(v, r, sigma) for v, r in zip(xv, xr)])
+        assert inter_loss(xv, xr, sigma)[0] == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     def test_symmetric_and_non_negative(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((5, 3))
-        y = rng.standard_normal((7, 3))
-        a, b = mmd2(x, y, 1.1), mmd2(y, x, 1.1)
+        xv, xr = stacked(rng, 3, 5, 7)
+        a, b = inter_loss(xv, xr, 1.1)[0], inter_loss(xr, xv, 1.1)[0]
         assert abs(a - b) <= 1e-12
         assert a >= -1e-12
 
     def test_median_sigma_positive(self):
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal((4, 2)), rng.standard_normal((5, 2))
-        assert median_sigma(x, y) > 0
-        same = np.zeros((3, 2))
-        assert median_sigma(same, same) == 1e-12
+        union = np.vstack([x, y])
+        dists = [np.linalg.norm(a - b) for i, a in enumerate(union) for b in union[i + 1 :]]
+        sigma = float(np.median(dists))
+        assert sigma > 0
+        got = inter_loss(x[None], y[None], "median")[0]
+        assert got == pytest.approx(mmd2_double_loop(x, y, sigma), abs=1e-12)
+        # coincident points: the bandwidth floors at 1e-12 instead of 0
+        same = np.zeros((1, 3, 2))
+        loss, gv, gr = inter_loss(same, same, "median")
+        assert loss == 0.0
+        assert np.all(gv == 0.0) and np.all(gr == 0.0)
 
     @pytest.mark.parametrize("seed", range(21))
     def test_grad_first_matches_finite_differences(self, seed):
+        # each half's gradient is that of D w.r.t. its own side, the other
+        # side held constant (stop-gradient)
         rng = np.random.default_rng(2000 + seed)
         x = rng.standard_normal((rng.integers(1, 6), 3))
         y = rng.standard_normal((rng.integers(1, 6), 3))
         sigma = float(rng.uniform(0.5, 1.5))
-        analytic = mmd2_grad_first(x, y, sigma)[1]
-        numeric = finite_difference(lambda f: mmd2(f, y, sigma), x.copy())
-        assert gradient_gap(analytic, numeric) <= 1e-4
+        _, gv, gr = inter_loss(x[None], y[None], sigma)
+        numeric_v = finite_difference(lambda f: mmd2_double_loop(f, y, sigma), x.copy())
+        numeric_r = finite_difference(lambda f: mmd2_double_loop(f, x, sigma), y.copy())
+        assert gradient_gap(2 * gv[0], numeric_v) <= 1e-4
+        assert gradient_gap(2 * gr[0], numeric_r) <= 1e-4
 
 
 class TestInterLoss:
-    def groups(self, rng, labels=(0, 1), sizes=(4, 3)):
-        vis = {l: rng.standard_normal((s, 3)) for l, s in zip(labels, sizes)}
-        inf = {l: rng.standard_normal((s + 1, 3)) for l, s in zip(labels, sizes)}
-        return vis, inf
-
     def test_identical_groups_zero(self):
         rng = np.random.default_rng(3)
-        vis, _ = self.groups(rng)
-        loss, gv, gr, skipped = inter_loss(vis, {k: v.copy() for k, v in vis.items()}, sigma=0.8)
+        xv, _ = stacked(rng)
+        loss, gv, gr = inter_loss(xv, xv.copy(), sigma=0.8)
         assert loss == pytest.approx(0.0, abs=1e-12)
-        for g in list(gv.values()) + list(gr.values()):
-            assert np.all(g == 0.0)
-        assert skipped == []
+        assert gv.shape == gr.shape == xv.shape
+        assert np.all(gv == 0.0) and np.all(gr == 0.0)
 
-    def test_stop_gradient_rows_exactly_zero(self):
+    def test_stop_gradient_is_half_the_full_gradient(self):
+        # D is symmetric, so the full loss's gradient w.r.t. one side is
+        # twice that of the side's own half: each half holds the other side
+        # constant, and a gradient through both halves would double
         rng = np.random.default_rng(4)
-        vis, inf = self.groups(rng)
-        loss, gv, gr, _ = inter_loss(vis, inf, sigma=1.0, terms=("visible",))
-        assert gr == {}
-        assert set(gv) == {0, 1}
-        full_loss, _, _, _ = inter_loss(vis, inf, sigma=1.0)
-        assert full_loss == pytest.approx(2 * loss, rel=1e-9)
-
-    def test_one_sided_cluster_skipped(self):
-        rng = np.random.default_rng(5)
-        vis, inf = self.groups(rng)
-        vis[7] = rng.standard_normal((2, 3))
-        inf[9] = np.zeros((0, 3))
-        vis[9] = rng.standard_normal((2, 3))
-        loss, gv, gr, skipped = inter_loss(vis, inf, sigma=1.0)
-        assert skipped == [7, 9]
-        assert set(gv) == {0, 1}
+        xv, xr = stacked(rng, labels=3)
+        _, gv, gr = inter_loss(xv, xr, sigma=1.0)
+        numeric_v = finite_difference(lambda f: inter_loss(f, xr, 1.0)[0], xv.copy())
+        numeric_r = finite_difference(lambda f: inter_loss(xv, f, 1.0)[0], xr.copy())
+        assert gradient_gap(gv, 0.5 * numeric_v) <= 1e-6
+        assert gradient_gap(gr, 0.5 * numeric_r) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(21))
     def test_gradients_match_finite_differences_per_term(self, seed):
         rng = np.random.default_rng(3000 + seed)
-        vis, inf = self.groups(rng)
+        xv, xr = stacked(rng)
         sigma = float(rng.uniform(0.6, 1.4))
-        _, gv, _, _ = inter_loss(vis, inf, sigma, terms=("visible",))
+        _, gv, gr = inter_loss(xv, xr, sigma)
+        vis, inf = as_groups(xv), as_groups(xr)
         for label in (0, 1):
             def vis_term(f, label=label):
-                patched = dict(vis)
-                patched[label] = f
-                return inter_loss(patched, inf, sigma, terms=("visible",))[0]
+                return naive_inter_loss({**vis, label: f}, inf, sigma, terms=("visible",))[0]
 
-            numeric = finite_difference(vis_term, vis[label].copy())
-            assert gradient_gap(gv[label], numeric) <= 1e-4
-        _, _, gr, _ = inter_loss(vis, inf, sigma, terms=("infrared",))
-        for label in (0, 1):
             def inf_term(f, label=label):
-                patched = dict(inf)
-                patched[label] = f
-                return inter_loss(vis, patched, sigma, terms=("infrared",))[0]
+                return naive_inter_loss(vis, {**inf, label: f}, sigma, terms=("infrared",))[0]
 
-            numeric = finite_difference(inf_term, inf[label].copy())
-            assert gradient_gap(gr[label], numeric) <= 1e-4
+            assert gradient_gap(gv[label], finite_difference(vis_term, xv[label].copy())) <= 1e-4
+            assert gradient_gap(gr[label], finite_difference(inf_term, xr[label].copy())) <= 1e-4
 
     @pytest.mark.parametrize("terms", [("visible", "infrared"), ("visible",), ("infrared",)])
     @pytest.mark.parametrize("sigma", [0.9, "median"])
     def test_stacked_matches_per_label_loop(self, sigma, terms):
+        # the stacked loss and each side's gradient against the per-label
+        # loop, both halves or the one half that side's gradient comes from
         rng = np.random.default_rng(7)
-        # ragged size classes: (3, 4) twice, (2, 5), (1, 1) and (4, 4) once each
-        sizes = {0: (3, 4), 1: (2, 5), 2: (3, 4), 3: (1, 1), 5: (4, 4)}
-        vis = {k: rng.standard_normal((nv, 3)) for k, (nv, _) in sizes.items()}
-        inf = {k: rng.standard_normal((nr, 3)) for k, (_, nr) in sizes.items()}
-        vis[8] = rng.standard_normal((2, 3))  # one-sided: skipped
-        loss, gv, gr, skipped = inter_loss(vis, inf, sigma, terms)
-        want_loss, want_v, want_r, want_skipped = naive_inter_loss(vis, inf, sigma, terms)
-        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        assert skipped == want_skipped == [8]
+        xv, xr = stacked(rng, labels=5, n=3, m=4)
+        loss, gv, gr = inter_loss(xv, xr, sigma)
+        want_loss, want_v, want_r, skipped = naive_inter_loss(as_groups(xv), as_groups(xr), sigma, terms)
+        assert skipped == []
+        halves = 2 if len(terms) == 1 else 1  # D is symmetric: the two halves are equal
+        assert abs(loss - halves * want_loss) <= 1e-12 * abs(want_loss)
         for got, want in ((gv, want_v), (gr, want_r)):
-            assert set(got) == set(want)
             for k in want:
                 assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max()
 
     def test_median_sigma_mode_runs(self):
         rng = np.random.default_rng(6)
-        vis, inf = self.groups(rng)
-        loss, gv, gr, _ = inter_loss(vis, inf, sigma="median")
+        xv, xr = stacked(rng)
+        loss, gv, gr = inter_loss(xv, xr, sigma="median")
         assert np.isfinite(loss)
+        assert np.isfinite(gv).all() and np.isfinite(gr).all()
 
 
 class TestComposeReport:

@@ -9,7 +9,7 @@ from memmatch.clustering import build_memory
 from memmatch.dataio import write_embeddings
 from memmatch.matching import assignment_to_csv
 from memmatch.model import EmbeddingSet, PipelineConfig, PseudoLabeling, normalize_rows
-from memmatch.objective import GradientBuffer, cluster_nce, inter_loss, intra_alignment
+from memmatch.objective import GradientBuffer, cluster_nce, intra_alignment
 from memmatch.pipeline import (
     ClusteringCollapseError,
     TrainableEmbeddings,
@@ -28,6 +28,7 @@ from reference import (
     dense_sgd_replay,
     finite_difference,
     gradient_gap,
+    naive_inter_loss,
     naive_pk_sample,
 )
 
@@ -232,6 +233,20 @@ class TestTrainableEmbeddings:
         assert peak < n * d * 8
         assert t.steps == 2
 
+    def test_sets_hand_over_features_without_a_copy(self):
+        vis, inf = generate(tiny_spec(identities=10, samples_per_identity_per_modality=200, dim=64))
+        t = TrainableEmbeddings(vis, inf, PipelineConfig())
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sets = t.sets()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(not es.features.flags.writeable for es in sets)
+        assert sets[0].modality is vis.modality  # read-only tags are shared
+        assert peak - before < 1.25 * (after - before)
+
 
 class TestRunEpoch:
     def test_degenerate_spec_perfect_ari(self):
@@ -338,7 +353,7 @@ class TestRunEpoch:
             intra += intra_alignment(fr, lab_r[inf_idx], state.wbank_r)[0]
             groups_v = {int(l): fv[lab_v[vis_idx] == l] for l in used}
             groups_r = {int(l): fr[lab_r[inf_idx] == l] for l in used}
-            inter = inter_loss(groups_v, groups_r, cfg.mmd_sigma, terms)[0]
+            inter = naive_inter_loss(groups_v, groups_r, cfg.mmd_sigma, terms)[0]
             return loss + cfg.lambda_intra * intra + cfg.lambda_inter * inter
 
         theta_v, theta_r = vis.features[rows_v].copy(), inf.features[rows_r].copy()
@@ -436,6 +451,82 @@ class TestRunTraining:
         assert batches_per_epoch(cfg, 200, 200) == 6  # 400 // 64
         assert batches_per_epoch(cfg, 10, 10) == 1
 
+
+
+def same_partition(a, b):
+    """Whether label vectors a and b split the rows alike: the same noise
+    rows, and a one-to-one map between the other labels."""
+    if not np.array_equal(a < 0, b < 0):
+        return False
+    pairs = np.unique(np.stack([a[a >= 0], b[b >= 0]], axis=1), axis=0)
+    return len(pairs) == len(np.unique(pairs[:, 0])) == len(np.unique(pairs[:, 1]))
+
+
+class TestMetamorphic:
+    """An evaluation-only pass (epochs=0) on a small synthetic fixture with
+    noise rows and a flipped, non-diagonal assignment."""
+
+    def fixture(self):
+        vis, inf = generate(tiny_spec(identities=8, outlier_fraction=0.1, seed=4))
+        return vis, inf, tiny_cfg(epochs=0)
+
+    def assert_same_metrics(self, got, want):
+        for name in ("ari_rgb", "ari_ir", "ari_all"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-12)
+        assert got.retrieval.map == pytest.approx(want.retrieval.map, rel=1e-12)
+        assert got.retrieval.rank.keys() == want.retrieval.rank.keys()
+        for k, value in want.retrieval.rank.items():
+            assert got.retrieval.rank[k] == pytest.approx(value, rel=1e-12)
+
+    def test_row_permutation_only_permutes_outputs(self):
+        vis, inf, cfg = self.fixture()
+        rng = np.random.default_rng(5)
+        pv, pr = rng.permutation(len(vis)), rng.permutation(len(inf))
+
+        def permuted(es, order):
+            return EmbeddingSet(es.features[order], es.modality[order], es.true_identity[order])
+
+        base = run_training(vis, inf, cfg).final
+        perm = run_training(permuted(vis, pv), permuted(inf, pr), cfg).final
+        assert base.flipped  # the fixture exercises the flipped orientation
+        # row i of the permuted run is row pv[i] (pr[i]) of the base run
+        joint_order = np.concatenate([pv, len(vis) + pr])
+        assert same_partition(base.labels_v_raw.labels[pv], perm.labels_v_raw.labels)
+        assert same_partition(base.labels_r_raw.labels[pr], perm.labels_r_raw.labels)
+        assert same_partition(base.labels_joint.labels[joint_order], perm.labels_joint.labels)
+        shared_base = np.concatenate([base.labels_v.labels[pv], base.labels_r.labels[pr]])
+        assert same_partition(shared_base, np.concatenate([perm.labels_v.labels, perm.labels_r.labels]))
+        # the matched cluster pairs, through the renumbering of each side
+        renumber = {
+            key: dict(zip(b.labels[order].tolist(), p.labels.tolist()))
+            for key, b, p, order in (
+                ("v", base.labels_v_raw, perm.labels_v_raw, pv),
+                ("r", base.labels_r_raw, perm.labels_r_raw, pr),
+            )
+        }
+        rows, cols = (renumber["r"], renumber["v"]) if base.flipped else (renumber["v"], renumber["r"])
+        assert perm.flipped == base.flipped
+        assert sorted(perm.assignment.pairs()) == sorted((rows[r], cols[c]) for r, c in base.assignment.pairs())
+        self.assert_same_metrics(perm.metrics, base.metrics)
+
+    def test_rotation_leaves_outputs_unchanged(self):
+        vis, inf, cfg = self.fixture()
+        joint = np.vstack([vis.features, inf.features])
+        # rotated cosine distances move by ulps: no pair may sit that close to eps
+        assert np.abs(1.0 - joint @ joint.T - cfg.dbscan_eps).min() > 1e-9
+        rot, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((vis.dim, vis.dim)))
+
+        def rotated(es):
+            return EmbeddingSet(es.features @ rot, es.modality, es.true_identity)
+
+        base = run_training(vis, inf, cfg).final
+        turned = run_training(rotated(vis), rotated(inf), cfg).final
+        for name in ("labels_v_raw", "labels_r_raw", "labels_v", "labels_r", "labels_joint"):
+            assert np.array_equal(getattr(turned, name).labels, getattr(base, name).labels), name
+        assert turned.flipped == base.flipped
+        assert np.array_equal(turned.assignment.q, base.assignment.q)
+        assert turned.assignment.total_cost == pytest.approx(base.assignment.total_cost, rel=1e-9)
+        self.assert_same_metrics(turned.metrics, base.metrics)
 
 
 class TestSweep:
