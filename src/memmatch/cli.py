@@ -134,7 +134,6 @@ def _report_dict(result: pipeline.TrainingResult) -> dict:
 
 
 def _write_training_outputs(result: pipeline.TrainingResult, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     rows = [objective.LOSS_CSV_HEADER]
     rows += [objective.loss_csv_row(s.epoch, s.losses) for s in result.history]
     (out / "history.csv").write_text("\n".join(rows) + "\n")
@@ -166,6 +165,8 @@ def _print_metrics(result: pipeline.TrainingResult) -> None:
 def cmd_train(args) -> int:
     visible, infrared = _load_sets(args)
     cfg = _resolve_config(args)
+    if args.out:  # before the run, so a bad --out fails first
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = pipeline.run_training(visible, infrared, cfg)
     if args.out:
         _write_training_outputs(result, Path(args.out))
@@ -181,15 +182,15 @@ def cmd_eval(args) -> int:
     if visible.true_identity is None or infrared.true_identity is None:
         raise dataio.DataFormatError("evaluation requires ground-truth identities in both files")
     cfg = replace(_resolve_config(args), epochs=0)
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = pipeline.run_training(visible, infrared, cfg)
     _print_metrics(result)
     final = result.final.metrics
     csv_text = metrics.METRIC_CSV_HEADER + "\n" + final.csv_row() + "\n"
     print(csv_text, end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "eval.csv").write_text(csv_text)
+        (Path(args.out) / "eval.csv").write_text(csv_text)
     return 0
 
 
@@ -217,6 +218,8 @@ def cmd_sweep(args) -> int:
         if not values:
             raise UsageError("--values must list at least one value for a config axis")
         runs = [(v, dataio.config_from_entries({args.axis: v}, base)) for v in values]
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     header = "name," + metrics.METRIC_CSV_HEADER
     lines = [header]
     print(header)
@@ -232,9 +235,7 @@ def cmd_sweep(args) -> int:
         lines.append(row)
         print(row)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        (Path(args.out) / "sweep.csv").write_text("\n".join(lines) + "\n")
     if failure is not None:
         raise failure
     return 0
@@ -248,10 +249,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (dataio.DataFormatError, synth.SpecError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DataFormatError and SpecError are ValueErrors
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (pipeline.ClusteringCollapseError, pipeline.TrainingDivergedError) as exc:

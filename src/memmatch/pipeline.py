@@ -25,7 +25,6 @@ from .model import (
     ConfidenceWeights,
     EmbeddingSet,
     MemoryBank,
-    MultiMemoryBank,
     PipelineConfig,
     PseudoLabeling,
     concat_sets,
@@ -74,9 +73,11 @@ class MetricReport:
 class EpochState:
     """Everything one epoch produced; immutable snapshot.
 
-    ``labels_v``/``labels_r`` and the banks live in the shared label space
-    after matching; ``losses`` are the per-batch means (zeros for an
-    evaluation-only pass).
+    ``visible``/``infrared`` are the features the epoch started from and
+    ``labels_*_raw`` each modality's own clustering.  ``labels_v``/``labels_r``
+    and the weighted banks ``wbank_*`` live in the shared label space after
+    matching (``assignment`` is None when matching is off); ``losses`` are
+    the per-batch means (zeros for an evaluation-only pass).
     """
 
     epoch: int
@@ -87,11 +88,6 @@ class EpochState:
     labels_v: PseudoLabeling
     labels_r: PseudoLabeling
     labels_joint: PseudoLabeling
-    bank_v: MemoryBank
-    bank_r: MemoryBank
-    bank_joint: MemoryBank
-    multi_v: MultiMemoryBank | None
-    multi_r: MultiMemoryBank | None
     assignment: Assignment | None
     id_v: IdLossVector
     id_r: IdLossVector
@@ -110,6 +106,20 @@ class EpochState:
     def flipped(self) -> bool:
         """Whether matching ran infrared-as-rows (fewer visible clusters)."""
         return self.assignment is not None and self.assignment.flipped
+
+
+@dataclass(frozen=True)
+class EpochSummary:
+    """What ``TrainingResult.history`` keeps of a training epoch."""
+
+    epoch: int
+    losses: LossReport
+    metrics: MetricReport | None
+    notes: tuple[str, ...]
+
+    @classmethod
+    def of(cls, state: EpochState) -> EpochSummary:
+        return cls(epoch=state.epoch, losses=state.losses, metrics=state.metrics, notes=state.notes)
 
 
 class TrainableEmbeddings:
@@ -266,14 +276,19 @@ def _diverged_at(where: str):
         raise TrainingDivergedError(f"{where}: {err}") from None
 
 
-def _confidence_or_uniform(losses: IdLossVector, cfg: PipelineConfig) -> ConfidenceWeights:
-    if not cfg.gmm_weighting:
-        return uniform_confidence(losses)
+def _weigh(
+    es: EmbeddingSet, labels: PseudoLabeling, cfg: PipelineConfig
+) -> tuple[IdLossVector, ConfidenceWeights, MemoryBank]:
+    """One scope's id-losses against its plain cluster memories, their GMM
+    confidence (uniform when weighting is off or the fit is degenerate), and
+    the memories rebuilt with those weights."""
+    losses = id_loss(es, labels, build_memory(es, labels), cfg.tau)
     try:
-        fit = fit_gmm2(losses)
+        fit = fit_gmm2(losses) if cfg.gmm_weighting else None
     except DegenerateLossError:
-        return uniform_confidence(losses)
-    return confidence(losses, fit)
+        fit = None
+    conf = uniform_confidence(losses) if fit is None else confidence(losses, fit)
+    return losses, conf, build_memory(es, labels, conf)
 
 
 _LOSS_TERMS = ("l_v", "l_r", "l_vr", "l_intra", "l_inter")
@@ -315,12 +330,13 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
             )
 
     notes: tuple[str, ...] = ()
-    multi_v = multi_r = assignment = None
+    assignment = None
     labels_v, labels_r = labels_v_raw, labels_r_raw
     if cfg.use_matching:
-        multi_v = sub_cluster(visible, labels_v_raw, cfg.n_memories)
-        multi_r = sub_cluster(infrared, labels_r_raw, cfg.n_memories)
-        assignment = solve_assignment(multi_memory_cost(multi_v, multi_r))
+        cost = multi_memory_cost(
+            sub_cluster(visible, labels_v_raw, cfg.n_memories), sub_cluster(infrared, labels_r_raw, cfg.n_memories)
+        )
+        assignment = solve_assignment(cost)
         labels_v, labels_r = transfer_labels(labels_v_raw, labels_r_raw, assignment)
         if assignment.flipped:
             notes = (
@@ -328,17 +344,9 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
                 f"{labels_v_raw.cluster_count} < infrared {labels_r_raw.cluster_count}); "
                 "infrared labels were transferred into the visible space",
             )
-    joint = concat_sets(visible, infrared)
-    bank_v = build_memory(visible, labels_v)
-    bank_r = build_memory(infrared, labels_r)
-    bank_joint = build_memory(joint, labels_joint)
-
-    id_v = id_loss(visible, labels_v, bank_v, cfg.tau)
-    id_r = id_loss(infrared, labels_r, bank_r, cfg.tau)
-    id_vr = id_loss(joint, labels_joint, bank_joint, cfg.tau)
-    conf_v = _confidence_or_uniform(id_v, cfg)
-    conf_r = _confidence_or_uniform(id_r, cfg)
-    conf_vr = _confidence_or_uniform(id_vr, cfg)
+    id_v, conf_v, wbank_v = _weigh(visible, labels_v, cfg)
+    id_r, conf_r, wbank_r = _weigh(infrared, labels_r, cfg)
+    id_vr, conf_vr, wbank_joint = _weigh(concat_sets(visible, infrared), labels_joint, cfg)
     return EpochState(
         epoch=epoch,
         visible=visible,
@@ -348,11 +356,6 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
         labels_v=labels_v,
         labels_r=labels_r,
         labels_joint=labels_joint,
-        bank_v=bank_v,
-        bank_r=bank_r,
-        bank_joint=bank_joint,
-        multi_v=multi_v,
-        multi_r=multi_r,
         assignment=assignment,
         id_v=id_v,
         id_r=id_r,
@@ -360,9 +363,9 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
         conf_v=conf_v,
         conf_r=conf_r,
         conf_vr=conf_vr,
-        wbank_v=build_memory(visible, labels_v, conf_v),
-        wbank_r=build_memory(infrared, labels_r, conf_r),
-        wbank_joint=build_memory(joint, labels_joint, conf_vr),
+        wbank_v=wbank_v,
+        wbank_r=wbank_r,
+        wbank_joint=wbank_joint,
         losses=_mean_losses(cfg, epoch, dict.fromkeys(_LOSS_TERMS, 0.0), 0),
         metrics=_metric_report(visible, infrared, labels_v, labels_r),
         notes=notes,
@@ -457,8 +460,10 @@ def run_epoch(
 
 @dataclass(frozen=True)
 class TrainingResult:
+    """A summary per training epoch in ``history``; one full state, ``final``."""
+
     config: PipelineConfig
-    history: tuple[EpochState, ...]
+    history: tuple[EpochSummary, ...]
     final: EpochState
     tags: tuple[str, ...]
 
@@ -497,13 +502,11 @@ def run_training(
             raise ValueError(f"invalid {name} set: row {row} has modality tag {found!r}, expected {tag!r}")
     trainable = TrainableEmbeddings(visible, infrared, cfg)
     sampler = named_stream(cfg.seed, "sampler")
-    history = []
-    for epoch in range(1, cfg.epochs + 1):
-        history.append(run_epoch(trainable, cfg, epoch, sampler, train=True))
-    final = run_epoch(trainable, cfg, cfg.epochs + 1, sampler, train=False)
-    return TrainingResult(
-        config=cfg, history=tuple(history), final=final, tags=config_tags(cfg)
+    history = tuple(
+        EpochSummary.of(run_epoch(trainable, cfg, epoch, sampler, train=True)) for epoch in range(1, cfg.epochs + 1)
     )
+    final = run_epoch(trainable, cfg, cfg.epochs + 1, sampler, train=False)
+    return TrainingResult(config=cfg, history=history, final=final, tags=config_tags(cfg))
 
 
 def ablation_configs(base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:

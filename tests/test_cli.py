@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import memmatch
+from memmatch import pipeline
 from memmatch.cli import main
 from memmatch.synth import SynthSpec, spec_to_text
 
@@ -289,6 +290,36 @@ def test_train_bad_dimension_header_exit_2(data_dir, tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code = main(["eval", "--visible", "/does/not/exist", "--infrared", "/nor/this"])
     assert code == 2
+
+
+def test_directory_as_input_exit_2(data_dir, tmp_path, capsys):
+    args = ["train", "--visible", str(data_dir), "--infrared", str(data_dir / "infrared.emb"), *FAST_CFG]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("train", []), ("eval", []), ("sweep", ["--axis", "n_memories", "--values", "1"])],
+)
+def test_out_is_a_file_exit_2_before_any_run(data_dir, tmp_path, capsys, monkeypatch, command, extra):
+    def no_run(*args, **kwargs):
+        pytest.fail("a run started before the output directory was made")
+
+    monkeypatch.setattr(pipeline, "run_training", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    args = [
+        command,
+        "--visible", str(data_dir / "visible.emb"),
+        "--infrared", str(data_dir / "infrared.emb"),
+        "--out", str(taken),
+        *extra,
+        *FAST_CFG,
+    ]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_import_loads_no_scipy():

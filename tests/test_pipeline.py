@@ -8,10 +8,11 @@ from memmatch.cli import main
 from memmatch.clustering import build_memory
 from memmatch.dataio import write_embeddings
 from memmatch.matching import assignment_to_csv
-from memmatch.model import EmbeddingSet, PipelineConfig, PseudoLabeling, normalize_rows
+from memmatch.model import EmbeddingSet, PipelineConfig, PseudoLabeling, concat_sets, normalize_rows
 from memmatch.objective import GradientBuffer, cluster_nce, intra_alignment
 from memmatch.pipeline import (
     ClusteringCollapseError,
+    EpochSummary,
     TrainableEmbeddings,
     TrainingDivergedError,
     ablation_configs,
@@ -54,6 +55,18 @@ def tiny_cfg(**overrides):
     base = dict(epochs=2, batch_ids=4, inter_start_epoch=1, seed=3)
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def first_epoch(vis, inf, cfg):
+    """The full state of a run's first training epoch, which ``run_training``
+    keeps only as a summary."""
+    return run_epoch(TrainableEmbeddings(vis, inf, cfg), cfg, 1, named_stream(cfg.seed, "sampler"))
+
+
+def assert_bank_rebuilds(bank, es, labels, conf):
+    rebuilt = build_memory(es, labels, conf)
+    assert np.array_equal(bank.centroids, rebuilt.centroids)
+    assert np.array_equal(bank.counts, rebuilt.counts)
 
 
 def circle_set(angles_deg, modality, ids):
@@ -259,17 +272,19 @@ class TestRunEpoch:
 
     def test_post_transfer_bank_matches_rebuild(self):
         vis, inf = generate(tiny_spec())
-        cfg = tiny_cfg(epochs=1)
-        state = run_training(vis, inf, cfg).history[0]
-        rebuilt = build_memory(state.visible, state.labels_v)
-        assert np.array_equal(state.bank_v.centroids, rebuilt.centroids)
-        assert np.array_equal(state.bank_v.counts, rebuilt.counts)
+        state = first_epoch(vis, inf, tiny_cfg(epochs=1))
+        assert state.assignment is not None  # the banks are in the shared label space
+        assert_bank_rebuilds(state.wbank_v, state.visible, state.labels_v, state.conf_v)
+        assert_bank_rebuilds(state.wbank_r, state.infrared, state.labels_r, state.conf_r)
 
     def test_weighted_banks_recomputable(self):
         vis, inf = generate(tiny_spec(outlier_fraction=0.1))
-        state = run_training(vis, inf, tiny_cfg(epochs=1)).history[0]
-        again = build_memory(state.visible, state.labels_v, state.conf_v)
-        assert np.abs(again.centroids - state.wbank_v.centroids).max() <= 1e-9
+        state = first_epoch(vis, inf, tiny_cfg(epochs=1))
+        assert (state.labels_joint.labels < 0).any()  # noise rows carry weight 0
+        joint = concat_sets(state.visible, state.infrared)
+        assert_bank_rebuilds(state.wbank_v, state.visible, state.labels_v, state.conf_v)
+        assert_bank_rebuilds(state.wbank_r, state.infrared, state.labels_r, state.conf_r)
+        assert_bank_rebuilds(state.wbank_joint, joint, state.labels_joint, state.conf_vr)
 
     def test_schedule_zeroes_before_start(self):
         vis, inf = generate(tiny_spec())
@@ -290,16 +305,13 @@ class TestRunEpoch:
             epochs=1, dbscan_eps=0.1, dbscan_min_samples=3, batch_ids=2,
             per_id_visible=2, per_id_infrared=2, n_memories=2, seed=0,
         )
-        result = run_training(vis, inf, cfg)
-        state = result.history[0]
+        state = first_epoch(vis, inf, cfg)
         assert state.flipped and state.assignment.flipped
         assert any("flipped" in note for note in state.notes)
         assert state.labels_v.cluster_count == 1
         assert state.labels_r.cluster_count == 2  # relabeled into visible space + fresh
         assert np.array_equal(state.labels_v.labels, state.labels_v_raw.labels)
-        rebuilt = build_memory(state.infrared, state.labels_r)
-        assert np.array_equal(state.bank_r.centroids, rebuilt.centroids)
-        assert np.array_equal(state.bank_r.counts, rebuilt.counts)
+        assert_bank_rebuilds(state.wbank_r, state.infrared, state.labels_r, state.conf_r)
         assert state.assignment.total_cost == brute_force_assignment(state.assignment.cost)
 
     def test_assignment_csv_visible_first_when_flipped(self):
@@ -314,8 +326,7 @@ class TestRunEpoch:
         assert final.labels_v_raw.cluster_count == 1
         # infrared cluster 1 takes visible id 0, infrared cluster 0 the fresh id 1
         assert np.array_equal(final.labels_r.labels, 1 - final.labels_r_raw.labels)
-        rebuilt = build_memory(final.infrared, final.labels_r)
-        assert np.array_equal(final.bank_r.centroids, rebuilt.centroids)
+        assert_bank_rebuilds(final.wbank_r, final.infrared, final.labels_r, final.conf_r)
         lines = assignment_to_csv(final.assignment).strip().split("\n")
         assert lines[0] == "visible_cluster,infrared_cluster,cost"
         assert [line.split(",")[:2] for line in lines[1:]] == [["0", "1"]]
@@ -426,13 +437,46 @@ class TestRunTraining:
         assert np.array_equal(a.final.visible.features, b.final.visible.features)
         assert "cmc-baseline" in a.tags
 
-    def test_memories_constant_within_epoch_by_default(self):
+    def test_weighted_banks_built_at_epoch_start(self):
         vis, inf = generate(tiny_spec())
-        state = run_training(vis, inf, tiny_cfg(epochs=1)).history[0]
-        # weighted banks stored in the state are the ones built at epoch start;
-        # rebuilding from the *final* features must differ once training moved them
-        moved = build_memory(state.visible, state.labels_v, state.conf_v)
-        assert np.array_equal(moved.centroids, state.wbank_v.centroids)
+        cfg = tiny_cfg(epochs=1)
+        trainable = TrainableEmbeddings(vis, inf, cfg)
+        state = run_epoch(trainable, cfg, 1, named_stream(cfg.seed, "sampler"))
+        # the state's banks are the ones built from the epoch-start features
+        # and held for the whole epoch; the epoch's steps moved the features,
+        # so a bank rebuilt from the features after it differs
+        assert_bank_rebuilds(state.wbank_v, state.visible, state.labels_v, state.conf_v)
+        moved = build_memory(trainable.sets()[0], state.labels_v, state.conf_v)
+        assert not np.allclose(moved.centroids, state.wbank_v.centroids)
+
+    def test_history_summarizes_each_epoch(self):
+        vis, inf = generate(tiny_spec())
+        cfg = tiny_cfg(epochs=2)
+        result = run_training(vis, inf, cfg)
+        trainable, sampler = TrainableEmbeddings(vis, inf, cfg), named_stream(cfg.seed, "sampler")
+        states = [run_epoch(trainable, cfg, epoch, sampler) for epoch in (1, 2)]
+        final = run_epoch(trainable, cfg, 3, sampler, train=False)
+        assert all(type(s) is EpochSummary for s in result.history)
+        assert result.history == tuple(EpochSummary.of(s) for s in states)
+        assert np.array_equal(result.final.visible.features, final.visible.features)
+        assert result.final.losses == final.losses and result.final.metrics == final.metrics
+
+    def test_retained_result_does_not_grow_with_epochs(self):
+        vis, inf = generate(tiny_spec(dim=64))
+
+        def retained(epochs):
+            tracemalloc.start()
+            try:
+                result = run_training(vis, inf, tiny_cfg(epochs=epochs))
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result.history) == epochs
+            return size
+
+        retained(1)  # first-use allocations inside numpy and the library
+        one, five = retained(1), retained(5)
+        assert five < one + (len(vis) + len(inf)) * vis.dim * 8
 
     def test_diverged_step_raises_training_diverged(self):
         vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
@@ -527,6 +571,36 @@ class TestMetamorphic:
         assert np.array_equal(turned.assignment.q, base.assignment.q)
         assert turned.assignment.total_cost == pytest.approx(base.assignment.total_cost, rel=1e-9)
         self.assert_same_metrics(turned.metrics, base.metrics)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_modality_swap_mirrors_outputs(self, seed):
+        # with one sub-memory per cluster the matching cost is a centroid
+        # distance, the same from either side; with more it sums over the
+        # visible sub-memories only, so a swap may change the matching
+        vis, inf = generate(
+            SynthSpec(identities=12, samples_per_identity_per_modality=10, dim=16, outlier_fraction=0.1, seed=seed)
+        )
+        cfg = PipelineConfig(epochs=0, n_memories=1, dbscan_eps=0.3)
+        joint = np.vstack([vis.features, inf.features])
+        # the swap reorders the distance sweep: no pair may sit within ulps of eps
+        assert np.abs(1.0 - joint @ joint.T - cfg.dbscan_eps).min() > 1e-9
+
+        def retagged(es, tag):
+            return EmbeddingSet(es.features, np.full(len(es), tag), es.true_identity)
+
+        base = run_training(vis, inf, cfg).final
+        swapped = run_training(retagged(inf, "v"), retagged(vis, "r"), cfg).final
+        assert np.array_equal(swapped.labels_v_raw.labels, base.labels_r_raw.labels)
+        assert np.array_equal(swapped.labels_r_raw.labels, base.labels_v_raw.labels)
+
+        def physical_pairs(assignment, swap):
+            # (visible cluster, infrared cluster) of the input data
+            pairs = [(c, r) if assignment.flipped else (r, c) for r, c in assignment.pairs()]
+            return sorted((b, a) if swap else (a, b) for a, b in pairs)
+
+        assert physical_pairs(swapped.assignment, True) == physical_pairs(base.assignment, False)
+        assert (swapped.metrics.ari_rgb, swapped.metrics.ari_ir) == (base.metrics.ari_ir, base.metrics.ari_rgb)
+        assert swapped.metrics.ari_all == base.metrics.ari_all
 
 
 class TestSweep:
