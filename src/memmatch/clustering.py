@@ -7,9 +7,10 @@ similarity matrix, never the whole N x N matrix) and takes the visible and
 infrared graphs as its v-v and r-r pairs.  One vectorised labeller turns a
 pair list into DBSCAN labels with the classic discovery-order numbering.
 ``dbscan`` keeps the precomputed-matrix interface for callers with their
-own metric.  Memories are plain per-cluster means; sub-clustering splits
+own metric.  Memories are plain per-cluster means.  Sub-clustering splits
 each cluster into up to ``n`` sub-memories with a deterministic k-means
-(farthest-point init, Lloyd iterations).
+(farthest-point init, Lloyd iterations) that runs all clusters of one
+member count at once, stacked, with the arithmetic of a per-cluster run.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .model import (
 # float64 (at least one row): 2 MiB, below the 4 MiB at which numpy asks the
 # kernel for huge pages, so a block's working set does not set the peak RSS.
 _SWEEP_BLOCK_BYTES = 2 << 20
+_LLOYD_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -205,82 +207,98 @@ def build_memory(
     return MemoryBank(scope=labels.scope, centroids=centroids, counts=counts)
 
 
-def _farthest_point_seeds(points: np.ndarray, k: int) -> list[int]:
-    # First seed: the sample farthest from the cluster mean, ties to lowest index.
-    dev = np.linalg.norm(points - points.mean(axis=0), axis=1)
-    seeds = [int(np.argmax(dev))]
-    while len(seeds) < k:
-        dmin = np.min(
-            np.linalg.norm(points[:, None, :] - points[seeds][None, :, :], axis=2), axis=1
-        )
-        seeds.append(int(np.argmax(dmin)))
-    return seeds
+def _kmeans_stacked(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic Lloyd k-means of G clusters of m points each, at once.
 
-
-def _kmeans(points: np.ndarray, k: int, max_iter: int = 100):
-    """Deterministic Lloyd k-means.
-
-    Returns (centroids, assignment, objective_history); the history records
-    the sum of squared distances after each assignment step and is
-    non-increasing.  Empty cells are reseeded to the point currently farthest
-    from its own centroid; cells that stay empty (duplicate data) keep a zero
-    occupancy and are dropped by the caller.
+    ``points`` is (G, m, d); returns centroids (G, k, d) and the assignment
+    (G, m).  Per cluster, every step and every rounding is that of a k-means
+    run on the cluster alone:
+    - Seeds: first the point farthest from the cluster mean, then, k - 1
+      times, the point farthest from its nearest seed; ties go to the lowest
+      index.
+    - Each Lloyd step assigns every point to its nearest centroid.  An empty
+      cell takes the point currently farthest from its own centroid; when
+      every point sits on its centroid (duplicate data) the cell stays empty
+      and its slot is dropped by the caller.
+    - A cluster stops once a step neither repairs a cell nor changes the
+      assignment, or after ``_LLOYD_MAX_STEPS`` steps.  Otherwise each
+      non-empty cell moves to its member mean: a one-hot masked sum over the
+      member axis, which adds exact zeros in member order and so rounds as
+      ``members.mean(axis=0)`` does for d >= 2 (at d = 1 numpy sums that
+      single column pairwise instead).
     """
-    m = points.shape[0]
-    centroids = points[_farthest_point_seeds(points, k)].copy()
-    prev_assign = None
-    history: list[float] = []
-    assign = np.zeros(m, dtype=np.int64)
-    for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        repaired = False
-        own = d2[np.arange(m), assign]
-        for c in range(k):
-            if np.any(assign == c):
-                continue
-            far = int(np.argmax(own))
-            if own[far] <= 0.0:
-                continue  # all points sit on a centroid already; leave cell empty
-            centroids[c] = points[far]
-            assign[far] = c
-            own[far] = 0.0
-            repaired = True
-        history.append(float(((points - centroids[assign]) ** 2).sum()))
-        if prev_assign is not None and not repaired and np.array_equal(assign, prev_assign):
+    g_count, m, _ = points.shape
+    groups = np.arange(g_count)
+    centroids = np.empty((g_count, k, points.shape[2]))
+    dev = np.linalg.norm(points - points.mean(axis=1, keepdims=True), axis=2)
+    centroids[:, 0] = points[groups, np.argmax(dev, axis=1)]
+    nearest_seed = np.full((g_count, m), np.inf)
+    for c in range(1, k):
+        np.minimum(nearest_seed, np.linalg.norm(points - centroids[:, c - 1, None], axis=2), out=nearest_seed)
+        centroids[:, c] = points[groups, np.argmax(nearest_seed, axis=1)]
+    assign = np.full((g_count, m), -1)
+    cells = np.arange(k)
+    live = groups  # clusters still iterating
+    for _ in range(_LLOYD_MAX_STEPS):
+        if not live.size:
             break
-        prev_assign = assign.copy()
+        pts, cen = points[live], centroids[live]
+        diff = pts[:, :, None, :] - cen[:, None, :, :]
+        d2 = np.square(diff, out=diff).sum(axis=3)
+        new = d2.argmin(axis=2)
+        own = np.take_along_axis(d2, new[..., None], axis=2)[..., 0]
+        local = np.arange(live.size)
+        repaired = np.zeros(live.size, dtype=bool)
         for c in range(k):
-            members = points[assign == c]
-            if members.size:
-                centroids[c] = members.mean(axis=0)
-    return centroids, assign, np.array(history)
+            far = own.argmax(axis=1)
+            fix = ~(new == c).any(axis=1) & (own[local, far] > 0.0)
+            g, f = local[fix], far[fix]
+            cen[g, c] = pts[g, f]
+            new[g, f] = c
+            own[g, f] = 0.0
+            repaired |= fix
+        moving = repaired | (new != assign[live]).any(axis=1)
+        assign[live] = new
+        pts, cen, new = pts[moving], cen[moving], new[moving]
+        onehot = new[..., None] == cells  # (G, m, k)
+        sums = (onehot[..., None] * pts[:, :, None, :]).sum(axis=1)
+        counts = onehot.sum(axis=1)
+        filled = counts > 0
+        cen[filled] = sums[filled] / counts[filled][:, None]
+        live = live[moving]
+        centroids[live] = cen
+    return centroids, assign
 
 
 def sub_cluster(embedding_set: EmbeddingSet, labels: PseudoLabeling, n: int) -> MultiMemoryBank:
     """Split every cluster into up to ``n`` sub-memories via k-means.
 
     A cluster with m < n members yields exactly m occupied sub-memories; the
-    remaining slots stay empty (zero occupancy).  Fully deterministic: the
-    k-means starts from a farthest-point initialization, so no seed is taken.
+    remaining slots stay empty (zero occupancy), and occupied slots keep the
+    order of their k-means cells.  Fully deterministic: the k-means starts
+    from a farthest-point initialization, so no seed is taken.  Clusters of
+    equal member count m are stacked and clustered together, in groups small
+    enough that a (G, m, k, d) temporary fits in ``_SWEEP_BLOCK_BYTES``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(labels) != len(embedding_set):
         raise ValueError("labeling length does not match the embedding set")
-    p_count = labels.cluster_count
-    memories = np.zeros((p_count, n, embedding_set.dim))
+    p_count, dim = labels.cluster_count, embedding_set.dim
+    memories = np.zeros((p_count, n, dim))
     occupancy = np.zeros((p_count, n), dtype=np.int64)
-    for p in range(p_count):
-        members = embedding_set.features[labels.members(p)]
-        k = min(n, members.shape[0])
-        centroids, assign, _ = _kmeans(members, k)
-        slot = 0
-        for c in range(k):
-            size = int((assign == c).sum())
-            if size == 0:
-                continue
-            memories[p, slot] = centroids[c]
-            occupancy[p, slot] = size
-            slot += 1
+    sizes = labels.cluster_sizes()
+    for m in np.unique(sizes):
+        k = min(n, int(m))
+        same = np.flatnonzero(sizes == m)
+        step = max(1, _SWEEP_BLOCK_BYTES // (8 * int(m) * k * dim))
+        for s in range(0, same.size, step):
+            clusters = same[s : s + step]
+            points = embedding_set.features[np.stack([labels.members(p) for p in clusters])]
+            centroids, assign = _kmeans_stacked(points, k)
+            counts = (assign[..., None] == np.arange(k)).sum(axis=1)
+            slot = np.cumsum(counts > 0, axis=1) - 1
+            g, c = np.nonzero(counts)
+            memories[clusters[g], slot[g, c]] = centroids[g, c]
+            occupancy[clusters[g], slot[g, c]] = counts[g, c]
     return MultiMemoryBank(scope=labels.scope, memories=memories, occupancy=occupancy)

@@ -1,15 +1,18 @@
 """Cross-modality cluster matching.
 
 The cost between a visible and an infrared cluster sums, over the visible
-sub-memories, the distance to the closest infrared sub-memory; it is built
-with one broadcast per visible cluster against every infrared sub-memory.
-The binary correspondence is solved with the side holding more clusters as
-rows: it minimizes total cost under "every column cluster exactly once,
-every row cluster at most once", found with the Hungarian method with row
-and column potentials (exact, O(P^3), each search step one numpy pass over
-the columns).  Label transfer then moves the row side into the column
-side's label space.  The module stays numpy-only: importing scipy.optimize
-alone raises a process's peak RSS from about 27 MB to 76 MB.
+sub-memories, the distance to the closest infrared sub-memory.  All squared
+distances come from one GEMM per block of visible clusters, in the form
+‖a‖² + ‖b‖² − 2a·b that FAISS uses; where cancellation could make that form
+inexact, the distance is recomputed by subtraction (see
+``multi_memory_cost``).  The binary correspondence is solved with the side
+holding more clusters as rows: it minimizes total cost under "every column
+cluster exactly once, every row cluster at most once", found with the
+Hungarian method with row and column potentials (exact, O(P^3), each search
+step one numpy pass over the columns).  Label transfer then moves the row
+side into the column side's label space.  The module stays numpy-only:
+importing scipy.optimize alone raises a process's peak RSS from about 27 MB
+to 76 MB.
 """
 from __future__ import annotations
 
@@ -17,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import _SWEEP_BLOCK_BYTES
 from .model import Assignment, MultiMemoryBank, PseudoLabeling
+
+# Relative error allowed in a GEMM distance before it is recomputed, and the
+# unit roundoff of float64.
+_RHO = 1e-13
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -44,21 +53,66 @@ class CostMatrix:
 
 def multi_memory_cost(vis: MultiMemoryBank, inf: MultiMemoryBank) -> CostMatrix:
     """cost[p, p'] = sum over occupied visible sub-memories of the Euclidean
-    distance to the nearest occupied infrared sub-memory."""
+    distance to the nearest occupied infrared sub-memory.
+
+    Visible clusters are taken in blocks whose (visible slot x infrared slot)
+    squared distances fit in ``_SWEEP_BLOCK_BYTES``.  Each block is one GEMM,
+    ‖a‖² + ‖b‖² − 2a·b clamped at 0, with +inf on empty infrared slots; the
+    minimum over each infrared cluster's slots is taken before the square
+    root, which is exact because sqrt is monotone.  Each cost is one sum over
+    the cluster's n visible slots, empty ones adding 0, so the result does
+    not depend on the blocks.
+    """
     pv, pr = vis.cluster_count, inf.cluster_count
     if pv == 0 or pr == 0:
         raise ValueError("both banks must contain at least one cluster")
-    inf_flat = inf.memories.reshape(pr * inf.n_memories, -1)
+    dim, n_v, n_r = vis.memories.shape[2], vis.n_memories, inf.n_memories
+    if inf.memories.shape[2] != dim:
+        raise ValueError(
+            f"visible sub-memories have dimension {dim}, infrared ones {inf.memories.shape[2]}"
+        )
+    vis_flat = vis.memories.reshape(pv * n_v, dim)
+    inf_flat = inf.memories.reshape(pr * n_r, dim)
+    vis_sq = np.einsum("ij,ij->i", vis_flat, vis_flat)
+    inf_sq = np.einsum("ij,ij->i", inf_flat, inf_flat)
     inf_empty = inf.occupancy.ravel() == 0
-    cost = np.zeros((pv, pr))
-    for p in range(pv):
-        # distances from every infrared slot to each occupied visible slot
-        dist = np.linalg.norm(vis.active(p)[None, :, :] - inf_flat[:, None, :], axis=2)
-        dist[inf_empty] = np.inf
-        # (P^r, m) nearest distances; summing its contiguous rows rounds
-        # exactly as a 1-D sum over the m visible slots does
-        cost[p] = dist.reshape(pr, inf.n_memories, -1).min(axis=1).sum(axis=1)
+    vis_occupied = vis.occupancy.ravel() > 0
+    # Recheck rule: δ = 2γ_{d+2}(‖a‖² + max‖b‖²), γ_k = ku / (1 − ku), bounds
+    # the absolute error of a GEMM squared distance.  A minimum at or above
+    # δ/(2ρ) therefore has a square root within relative error ρ; one below
+    # it is recomputed by subtraction over the cluster's occupied slots.
+    gamma = (dim + 2) * _U / (1 - (dim + 2) * _U)
+    recheck_below = gamma * (vis_sq + inf_sq[~inf_empty].max()) / _RHO
+    inf_sq[inf_empty] = np.inf
+    step = max(1, _SWEEP_BLOCK_BYTES // (8 * n_v * pr * n_r))  # visible clusters per block
+    cost = np.empty((pv, pr))
+    for a in range(0, pv, step):
+        rows = slice(a * n_v, min(a + step, pv) * n_v)
+        d2 = vis_flat[rows] @ inf_flat.T
+        d2 *= -2.0
+        d2 += vis_sq[rows, None]
+        d2 += inf_sq
+        np.maximum(d2, 0.0, out=d2)
+        near = d2.reshape(-1, pr, n_r).min(axis=2)
+        slot, q = np.nonzero((near < recheck_below[rows, None]) & vis_occupied[rows, None])
+        np.sqrt(near, out=near)
+        near[slot, q] = _nearest_by_subtraction(vis_flat[rows][slot], inf, q)
+        near[~vis_occupied[rows]] = 0.0
+        cost[a : a + step] = near.reshape(-1, n_v, pr).sum(axis=1)
     return CostMatrix(cost)
+
+
+def _nearest_by_subtraction(points: np.ndarray, inf: MultiMemoryBank, clusters: np.ndarray) -> np.ndarray:
+    """For each row i, min over the occupied slots of infrared cluster
+    ``clusters[i]`` of ``‖points[i] − b‖``, with the norm of the difference."""
+    out = np.empty(len(clusters))
+    step = max(1, _SWEEP_BLOCK_BYTES // (8 * inf.memories[0].size))
+    for s in range(0, len(clusters), step):
+        q = clusters[s : s + step]
+        dist = np.linalg.norm(points[s : s + step, None, :] - inf.memories[q], axis=2)
+        dist[inf.occupancy[q] == 0] = np.inf
+        out[s : s + step] = dist.min(axis=1)
+    return out
 
 
 def _hungarian(cost: np.ndarray) -> np.ndarray:

@@ -237,10 +237,6 @@ class MultiMemoryBank:
     def n_memories(self) -> int:
         return int(self.memories.shape[1])
 
-    def active(self, p: int) -> np.ndarray:
-        """Non-empty sub-memories of cluster p, shape (m, d)."""
-        return self.memories[p][self.occupancy[p] > 0]
-
 
 @dataclass(frozen=True)
 class Assignment:

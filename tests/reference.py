@@ -84,6 +84,84 @@ def naive_multi_memory_cost(vis_memories, vis_occupancy, inf_memories, inf_occup
     return cost
 
 
+def _farthest_point_seeds(points: np.ndarray, k: int) -> list[int]:
+    # First seed: the sample farthest from the cluster mean, ties to lowest index.
+    dev = np.linalg.norm(points - points.mean(axis=0), axis=1)
+    seeds = [int(np.argmax(dev))]
+    while len(seeds) < k:
+        dmin = np.min(
+            np.linalg.norm(points[:, None, :] - points[seeds][None, :, :], axis=2), axis=1
+        )
+        seeds.append(int(np.argmax(dmin)))
+    return seeds
+
+
+def naive_kmeans(points: np.ndarray, k: int, max_iter: int = 100):
+    """Deterministic Lloyd k-means of one cluster.
+
+    Returns (centroids, assignment, objective_history); the history records
+    the sum of squared distances after each assignment step and is
+    non-increasing.  Empty cells are reseeded to the point currently farthest
+    from its own centroid; cells that stay empty (duplicate data) keep a zero
+    occupancy and are dropped by the caller.
+    """
+    m = points.shape[0]
+    centroids = points[_farthest_point_seeds(points, k)].copy()
+    prev_assign = None
+    history: list[float] = []
+    assign = np.zeros(m, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        repaired = False
+        own = d2[np.arange(m), assign]
+        for c in range(k):
+            if np.any(assign == c):
+                continue
+            far = int(np.argmax(own))
+            if own[far] <= 0.0:
+                continue  # all points sit on a centroid already; leave cell empty
+            centroids[c] = points[far]
+            assign[far] = c
+            own[far] = 0.0
+            repaired = True
+        history.append(float(((points - centroids[assign]) ** 2).sum()))
+        if prev_assign is not None and not repaired and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign.copy()
+        for c in range(k):
+            members = points[assign == c]
+            if members.size:
+                centroids[c] = members.mean(axis=0)
+    return centroids, assign, np.array(history)
+
+
+def occupied(bank, p: int) -> np.ndarray:
+    """The occupied sub-memories of cluster p of a MultiMemoryBank, (m, d)."""
+    return bank.memories[p][bank.occupancy[p] > 0]
+
+
+def naive_sub_cluster(features: np.ndarray, labels: np.ndarray, n: int):
+    """(memories, occupancy) of one ``naive_kmeans`` per cluster, with
+    k = min(n, members); non-empty cells fill the slots in cell order."""
+    p_count = int(labels.max()) + 1 if labels.size else 0
+    memories = np.zeros((p_count, n, features.shape[1]))
+    occupancy = np.zeros((p_count, n), dtype=np.int64)
+    for p in range(p_count):
+        members = features[np.flatnonzero(labels == p)]
+        k = min(n, members.shape[0])
+        centroids, assign, _ = naive_kmeans(members, k)
+        slot = 0
+        for c in range(k):
+            size = int((assign == c).sum())
+            if size == 0:
+                continue
+            memories[p, slot] = centroids[c]
+            occupancy[p, slot] = size
+            slot += 1
+    return memories, occupancy
+
+
 def _noise_as_singletons(labels) -> list[int]:
     out = list(labels)
     nxt = max([l for l in out if l >= 0], default=-1) + 1

@@ -2,12 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from memmatch import clustering
 from memmatch.clustering import (
     DistanceMatrix,
-    _kmeans,
     build_memory,
     cluster_joint,
     dbscan,
@@ -22,7 +21,7 @@ from memmatch.model import (
     PseudoLabeling,
     normalize_rows,
 )
-from reference import naive_dbscan
+from reference import naive_dbscan, naive_kmeans, naive_sub_cluster, occupied
 
 
 def unit_circle(angles_deg):
@@ -315,7 +314,7 @@ class TestSubCluster:
         es = make_set(feats)
         labels = PseudoLabeling.from_labels("v", [0, 0, 0, 0])
         bank = sub_cluster(es, labels, n=2)
-        active = bank.active(0)
+        active = occupied(bank, 0)
         expected = {tuple(np.round(feats[:2].mean(0), 12)), tuple(np.round(feats[2:].mean(0), 12))}
         got = {tuple(np.round(c, 12)) for c in active}
         assert got == expected
@@ -342,11 +341,51 @@ class TestSubCluster:
         assert int((bank.occupancy[0] > 0).sum()) == 1
         assert bank.occupancy[0].sum() == 5
 
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        st.integers(1, 5),
+        st.integers(2, 5),
+        st.booleans(),
+    )
+    @example(seed=0, sizes=[3, 1, 3], n=1, dim=2, coarse=False)
+    @example(seed=2, sizes=[7, 3, 7, 1], n=4, dim=2, coarse=True)
+    def test_matches_per_cluster_oracle(self, seed, sizes, n, dim, coarse):
+        # Ragged sizes put clusters with m < n, m = n and m > n side by side
+        # and stack clusters of equal size into one group; noise rows take no
+        # part.  The coarse grid makes duplicate points, so farthest-point
+        # seeding repeats a seed and its cell stays empty.  dim >= 2: numpy
+        # sums a single column pairwise, so at dim 1 the oracle's mean rounds
+        # differently from 8 members on.
+        rng = np.random.default_rng(seed)
+        labels = np.concatenate([np.repeat(np.arange(len(sizes)), sizes), [-1, -1]])
+        rng.shuffle(labels)
+        feats = rng.standard_normal((labels.size, dim))
+        if coarse:
+            feats = np.round(feats)
+        bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), n)
+        memories, occupancy = naive_sub_cluster(feats, labels, n)
+        assert np.array_equal(bank.memories, memories)
+        assert np.array_equal(bank.occupancy, occupancy)
+
+    def test_group_split_by_block_budget(self):
+        # One 40-member cluster's (m, k, d) temporary is 80 KiB at n = 4 and
+        # d = 64, so the 30 clusters of size 40 run in two groups.
+        rng = np.random.default_rng(7)
+        labels = np.repeat(np.arange(30), 40)
+        rng.shuffle(labels)
+        feats = random_points(rng, labels.size, 64)
+        assert 30 * 40 * 4 * 64 * 8 > clustering._SWEEP_BLOCK_BYTES
+        bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), 4)
+        memories, occupancy = naive_sub_cluster(feats, labels, 4)
+        assert np.array_equal(bank.memories, memories)
+        assert np.array_equal(bank.occupancy, occupancy)
+
     @given(st.integers(0, 10_000))
     def test_kmeans_objective_non_increasing(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((20, 3))
-        _, _, history = _kmeans(pts, k=4)
+        _, _, history = naive_kmeans(pts, k=4)
         assert np.all(np.diff(history) <= 1e-9)
 
     def test_occupied_submemories_are_member_means(self):
@@ -356,7 +395,7 @@ class TestSubCluster:
         bank = sub_cluster(es, labels, n=3)
         for p in range(3):
             members = es.features[labels.members(p)]
-            mem = bank.active(p)
+            mem = occupied(bank, p)
             assign = np.argmin(((members[:, None, :] - mem[None]) ** 2).sum(-1), axis=1)
             for slot in range(mem.shape[0]):
                 sel = members[assign == slot]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from memmatch import matching
 from memmatch.matching import (
     CostMatrix,
     assignment_to_csv,
@@ -75,6 +76,45 @@ class TestMultiMemoryCost:
         vis, inf = random_bank(pv, nv, "v"), random_bank(pr, nr, "r")
         expected = naive_multi_memory_cost(vis.memories, vis.occupancy, inf.memories, inf.occupancy)
         np.testing.assert_allclose(multi_memory_cost(vis, inf).m, expected, rtol=1e-12, atol=0)
+
+    def test_dimension_mismatch_names_both(self):
+        vis = bank_from_lists([[[1.0, 0.0]]])
+        inf = bank_from_lists([[[1.0, 0.0, 0.0]]], scope="r")
+        with pytest.raises(ValueError, match="dimension 2, infrared ones 3"):
+            multi_memory_cost(vis, inf)
+
+    def test_near_coincident_slot_matches_naive(self):
+        # The GEMM form loses a 1e-9 gap to cancellation (its absolute error
+        # in d^2 is near 1e-15); the recheck recomputes it by subtraction.
+        rng = np.random.default_rng(4)
+        memories = rng.standard_normal((5, 3, 8))
+        moved = memories.copy()
+        moved[2, 1, 0] += 1e-9
+        occupancy = np.ones((5, 3), dtype=int)
+        vis = MultiMemoryBank(scope="v", memories=memories, occupancy=occupancy)
+        inf = MultiMemoryBank(scope="r", memories=moved, occupancy=occupancy)
+        expected = naive_multi_memory_cost(memories, occupancy, moved, occupancy)
+        np.testing.assert_allclose(multi_memory_cost(vis, inf).m, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("clusters_per_block", [1, 2, 3])
+    def test_blocks_equal_single_block(self, clusters_per_block, monkeypatch):
+        # 7 visible clusters in blocks of 1, 2 or 3; infrared clusters 0-3
+        # hold near-copies of visible slots, so each of their blocks has
+        # rechecks, in chunks of 1-2 rows at d = 16.
+        rng = np.random.default_rng(9)
+        memories = rng.standard_normal((7, 3, 16))
+        occupancy = (rng.random((7, 3)) < 0.7).astype(int)
+        occupancy[:, 0] = 1
+        inf_memories = rng.standard_normal((5, 2, 16))
+        inf_memories[:4] = memories[:4, :2] + 1e-9 * rng.standard_normal((4, 2, 16))
+        inf_occupancy = np.ones((5, 2), dtype=int)
+        vis = MultiMemoryBank(scope="v", memories=memories, occupancy=occupancy)
+        inf = MultiMemoryBank(scope="r", memories=inf_memories, occupancy=inf_occupancy)
+        whole = multi_memory_cost(vis, inf).m
+        monkeypatch.setattr(matching, "_SWEEP_BLOCK_BYTES", 8 * 3 * 5 * 2 * clusters_per_block)
+        assert np.array_equal(multi_memory_cost(vis, inf).m, whole)
+        expected = naive_multi_memory_cost(memories, occupancy, inf_memories, inf_occupancy)
+        np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
 
 
 class TestSolveAssignment:

