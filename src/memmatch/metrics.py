@@ -23,29 +23,6 @@ RANKS = (1, 5, 10, 20)
 _EVAL_BLOCK_BYTES = 2 << 20
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Co-occurrence counts of two labelings plus marginals."""
-
-    counts: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-    total: int
-
-    @classmethod
-    def from_labels(cls, a: np.ndarray, b: np.ndarray) -> "ContingencyTable":
-        _, ai = np.unique(a, return_inverse=True)
-        _, bi = np.unique(b, return_inverse=True)
-        counts = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-        np.add.at(counts, (ai, bi), 1)
-        return cls(
-            counts=counts,
-            row_marginals=counts.sum(axis=1),
-            col_marginals=counts.sum(axis=0),
-            total=int(counts.sum()),
-        )
-
-
 def _noise_to_singletons(labels: np.ndarray) -> np.ndarray:
     """Each noise sample becomes its own fresh singleton cluster."""
     out = labels.copy()
@@ -64,12 +41,15 @@ def ari_fraction(labels_a, labels_b) -> Fraction:
         raise ValueError("label vectors must be 1-D and of equal length")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    table = ContingencyTable.from_labels(_noise_to_singletons(a), _noise_to_singletons(b))
-    # only cells holding at least one pair contribute; most cells are empty
-    index = sum(comb(int(nij), 2) for nij in table.counts[table.counts >= 2])
-    sum_a = sum(comb(int(ai), 2) for ai in table.row_marginals)
-    sum_b = sum(comb(int(bj), 2) for bj in table.col_marginals)
-    total_pairs = comb(table.total, 2)
+    _, ai = np.unique(_noise_to_singletons(a), return_inverse=True)
+    _, bi = np.unique(_noise_to_singletons(b), return_inverse=True)
+    # the non-zero cells of the contingency table, as counts of a joint key;
+    # only cells holding at least one pair contribute
+    _, cells = np.unique(ai * (int(bi.max()) + 1) + bi, return_counts=True)
+    index = sum(comb(int(nij), 2) for nij in cells[cells >= 2])
+    sum_a = sum(comb(int(n), 2) for n in np.bincount(ai))
+    sum_b = sum(comb(int(n), 2) for n in np.bincount(bi))
+    total_pairs = comb(a.shape[0], 2)
     expected = Fraction(sum_a * sum_b, total_pairs)
     max_index = Fraction(sum_a + sum_b, 2)
     if max_index == expected:

@@ -4,7 +4,9 @@ Cluster memories are constants inside every term: they are rebuilt from the
 labelings at the start of each epoch, never backpropagated through.  The
 kernel two-sample distance is the biased V-statistic (self-pairs included)
 of Gretton et al. (JMLR 2012), taken per pseudo-label over stacked
-(L, n, d) blocks: the L labels of one PK batch, n rows each.
+(L, n, d) blocks: the L labels of one PK batch, n rows each.  Every loss
+also takes leading batch axes, so several PK batches run as one call with
+the arithmetic of each batch unchanged.
 """
 from __future__ import annotations
 
@@ -110,54 +112,64 @@ def loss_csv_row(epoch: int, report: LossReport) -> str:
     return f"{epoch}," + ",".join(repr(float(v)) for v in vals)
 
 
+def _per_batch(values: np.ndarray):
+    """A float for an unbatched call, else the array over the leading axes."""
+    return float(values) if values.ndim == 0 else values
+
+
 def cluster_nce(
     features: np.ndarray, labels: np.ndarray, bank: MemoryBank, tau: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Softmax contrastive loss of each sample against all cluster memories.
 
     loss = mean_i -log( exp(<C_{y_i}, f_i>/tau) / sum_p exp(<C_p, f_i>/tau) )
     Gradient flows to the features only:
     dL/df_i = (softmax_i - onehot_{y_i}) @ C / (tau * batch).
+
+    ``features`` is (..., n, d) and ``labels`` (..., n): leading axes stack
+    independent batches of n samples, each computed as if alone, and the
+    loss comes back per batch (a float when there are none).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     feats = np.asarray(features, dtype=float)
     labs = np.asarray(labels, dtype=np.int64)
-    if feats.shape[0] == 0:
-        return 0.0, np.zeros_like(feats)
+    n = feats.shape[-2]
+    if n == 0:
+        return _per_batch(np.zeros(feats.shape[:-2])), np.zeros_like(feats)
     if labs.min() < 0 or labs.max() >= bank.cluster_count:
-        bad = int(np.flatnonzero((labs < 0) | (labs >= bank.cluster_count))[0])
-        raise ValueError(f"batch sample {bad} carries label {labs[bad]} with no memory")
+        flat = labs.ravel()
+        bad = int(np.flatnonzero((flat < 0) | (flat >= bank.cluster_count))[0])
+        raise ValueError(f"batch sample {bad} carries label {flat[bad]} with no memory")
     logits = feats @ bank.centroids.T / tau
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expv = np.exp(shifted)
-    softmax = expv / expv.sum(axis=1, keepdims=True)
-    logp = shifted - np.log(expv.sum(axis=1, keepdims=True))
-    n = feats.shape[0]
-    loss = float(-logp[np.arange(n), labs].mean())
-    delta = softmax.copy()
-    delta[np.arange(n), labs] -= 1.0
+    denom = expv.sum(axis=-1, keepdims=True)
+    logp = shifted - np.log(denom)
+    loss = -np.take_along_axis(logp, labs[..., None], axis=-1)[..., 0].mean(axis=-1)
+    delta = expv / denom  # the softmax, less the one-hot below
+    delta.reshape(-1, bank.cluster_count)[np.arange(labs.size), labs.ravel()] -= 1.0
     grad = delta @ bank.centroids / (tau * n)
-    return loss, grad
+    return _per_batch(loss), grad
 
 
 def intra_alignment(
     features: np.ndarray, labels: np.ndarray, bank: MemoryBank
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Sum of squared distances of each sample to its cluster memory.
 
     Gradient per sample is 2*(f - C_y); rows labeled noise contribute
-    nothing.
+    nothing.  Leading axes of ``features`` (..., n, d) and ``labels``
+    (..., n) stack independent batches, as in ``cluster_nce``.
     """
     feats = np.asarray(features, dtype=float)
     labs = np.asarray(labels, dtype=np.int64)
-    grad = np.zeros_like(feats)
-    keep = np.flatnonzero(labs != NOISE_LABEL)
-    if keep.size == 0:
-        return 0.0, grad
-    residual = feats[keep] - bank.centroids[labs[keep]]
-    grad[keep] = 2.0 * residual
-    return float((residual**2).sum()), grad
+    keep = labs != NOISE_LABEL
+    if not keep.any():
+        return _per_batch(np.zeros(feats.shape[:-2])), np.zeros_like(feats)
+    residual = feats - bank.centroids[np.where(keep, labs, 0)]
+    residual[~keep] = 0.0
+    return _per_batch((residual**2).sum(axis=(-2, -1))), 2.0 * residual
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,16 +207,18 @@ def _mmd2_grad(kxx, kxy, kyy, x, y, sigma):
 
 def inter_loss(
     xv: np.ndarray, xr: np.ndarray, sigma: float | str
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Cluster-paired distribution alignment across modalities.
 
-    ``xv`` (L, n, d) and ``xr`` (L, m, d) hold the visible and infrared rows
-    of L labels, label-major as ``pk_sample`` draws them: ``xv[l]`` and
-    ``xr[l]`` are the two sides of the l-th label.  The loss is
+    ``xv`` (..., L, n, d) and ``xr`` (..., L, m, d) hold the visible and
+    infrared rows of L labels, label-major as ``pk_sample`` draws them:
+    ``xv[l]`` and ``xr[l]`` are the two sides of the l-th label.  The loss is
     1/2 * D(visible, sg(infrared)) + 1/2 * D(infrared, sg(visible)) with D
     the MMD^2, averaged over the L labels; the gradients come back shaped
     like the inputs, those of the first term on the visible rows only and
-    vice versa.
+    vice versa.  Further leading axes stack independent batches of L labels,
+    each computed as if alone, and the loss comes back per batch (a float
+    when there are none).
 
     sigma is a number or "median" for the per-label median pairwise
     distance of the union of both sides (self-pairs excluded, floored at
@@ -212,13 +226,13 @@ def inter_loss(
     distance and kernel computation over the union serves the bandwidth and
     both halves.
     """
-    p, n = xv.shape[0], xv.shape[1]
-    union = np.concatenate([xv, xr], axis=1)
+    p, n = xv.shape[-3], xv.shape[-2]
+    union = np.concatenate([xv, xr], axis=-2)
     sq = _sq_dists(union, union)
     s = _median_pair_dist(sq) if isinstance(sigma, str) else float(sigma)
     k = _kernel(sq, s)
-    kvv, kvr, krv, krr = k[:, :n, :n], k[:, :n, n:], k[:, n:, :n], k[:, n:, n:]
+    kvv, kvr, krv, krr = k[..., :n, :n], k[..., :n, n:], k[..., n:, :n], k[..., n:, n:]
     val_v, grad_v = _mmd2_grad(kvv, kvr, krr, xv, xr, s)
     val_r, grad_r = _mmd2_grad(krr, krv, kvv, xr, xv, s)
-    total = 0.5 * float(val_v.sum()) + 0.5 * float(val_r.sum())
-    return total / p, 0.5 * grad_v / p, 0.5 * grad_r / p
+    total = 0.5 * val_v.sum(axis=-1) + 0.5 * val_r.sum(axis=-1)
+    return _per_batch(total / p), 0.5 * grad_v / p, 0.5 * grad_r / p

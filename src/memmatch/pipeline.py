@@ -7,10 +7,19 @@ the raw embedding parameters (gradients are chain-ruled through the row
 normalization).  The only randomness is the PK sampler's, the named stream
 "sampler" of cfg.seed (clustering and k-means are deterministic); synthetic
 data draws from its own stream, "synth" of SynthSpec.seed.
+
+Batches are grouped, not reordered.  The epoch's PK batches are drawn
+first, in order, then cut into maximal runs of consecutive batches whose
+rows are pairwise disjoint, and each run is one stacked step.  This is
+exact: labels and memories stay fixed for the epoch, so a batch's loss and
+gradient read only its own rows, and an SGD update with momentum and weight
+decay reads only its row's parameters, velocity and gradient.  So the batches
+of a run cannot see each other's updates; each row is caught up to its
+batch's step, stepped there, and the losses and per-row sums keep the
+sequential order of terms.  A run of one batch is the plain per-batch step.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +64,13 @@ class ClusteringCollapseError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A parameter row stopped being finite (the step is likely too large)."""
+    """A parameter row stopped being finite (the step is likely too large).
+
+    ``step`` is the index of the step the row was caught up to or took."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -136,9 +151,20 @@ class TrainableEmbeddings:
     A = [[1 - eta lam, -eta mu], [lam, mu]].  Each row records the step it
     is current at and is caught up with A^lag when it is next read, by
     ``features`` (a batch) or ``sets`` (an epoch start), or stepped.  Rows of
-    ``params`` and ``velocity`` are therefore stale until read.  A row whose
-    norm stops being finite, after a step or a catch-up, raises
-    ``TrainingDivergedError``.
+    ``params`` and ``velocity`` are therefore stale until read.
+
+    One read and one ``apply_step`` may stand for several consecutive steps
+    whose rows are pairwise disjoint: each row then carries the index of
+    the step it belongs to, is caught up to that index and stamped one past
+    it.  A row's update reads only its own parameters, velocity and
+    gradient, and the catch-up replays exactly the zero-gradient steps in
+    between, so this is the arithmetic of taking the steps one by one, bit
+    for bit (updates with disjoint supports commute).
+
+    A row whose norm stops being finite, after a catch-up or a step, raises
+    ``TrainingDivergedError``.  A call checks its catch-ups, then its steps;
+    each check names the row of the lowest step index, visible before
+    infrared, then ascending row, and carries that index as ``step``.
     """
 
     def __init__(self, visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig):
@@ -165,37 +191,61 @@ class TrainableEmbeddings:
             self._powers = grown
         return self._powers[lag]
 
-    def _check(self, key: str, rows: np.ndarray, after: str) -> None:
-        sq_norms = np.square(self.params[key][rows]).sum(axis=1)
-        bad = np.flatnonzero(~np.isfinite(sq_norms))
-        if bad.size:
-            norm = float(np.sqrt(sq_norms[bad[0]]))
+    def _check(self, reads, after: str) -> None:
+        """Raise for the earliest non-finite row of ``reads``, (key, rows, at)
+        triples: the lowest step index, then the order of ``reads``, then
+        the order of ``rows``."""
+        first = None
+        for key, rows, at in reads:
+            sq_norms = np.square(self.params[key][rows]).sum(axis=1)
+            bad = np.flatnonzero(~np.isfinite(sq_norms))
+            if bad.size:
+                i = bad[np.argmin(at[bad])]
+                if first is None or at[i] < first[0]:
+                    first = (int(at[i]), key, int(rows[i]), float(np.sqrt(sq_norms[i])))
+        if first is not None:
+            step, key, row, norm = first
             raise TrainingDivergedError(
-                f"modality {key!r} row {int(rows[bad[0]])} has parameter norm {norm!r} after {after} "
-                f"(learning_rate={self.learning_rate}, weight_decay={self.weight_decay}, momentum={self.momentum})"
+                f"modality {key!r} row {row} has parameter norm {norm!r} after {after} "
+                f"(learning_rate={self.learning_rate}, weight_decay={self.weight_decay}, momentum={self.momentum})",
+                step=step,
             )
 
-    def _catch_up(self, key: str, rows: np.ndarray) -> None:
-        lag = self.steps - self._current[key][rows]
-        stale = lag > 0
-        if not stale.any():
-            return
-        rows, a = rows[stale], self._power(lag[stale])[..., None]
-        theta, vel = self.params[key][rows], self.velocity[key][rows]
-        self.params[key][rows] = a[:, 0, 0] * theta + a[:, 0, 1] * vel
-        self.velocity[key][rows] = a[:, 1, 0] * theta + a[:, 1, 1] * vel
-        self._current[key][rows] = self.steps
-        self._check(key, rows, "catch-up")
+    def _catch_up(
+        self, rows_v: np.ndarray, rows_r: np.ndarray, at: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bring the rows to their step indices ``at`` (default: the current
+        step) and check those that moved; returns the indices."""
+        if at is None:
+            at = np.full(rows_v.shape, self.steps), np.full(rows_r.shape, self.steps)
+        moved = []
+        for key, rows, to in (("v", rows_v, at[0]), ("r", rows_r, at[1])):
+            lag = to - self._current[key][rows]
+            stale = lag > 0
+            rows, to = rows[stale], to[stale]
+            if rows.size:
+                a = self._power(lag[stale])[..., None]
+                theta, vel = self.params[key][rows], self.velocity[key][rows]
+                self.params[key][rows] = a[:, 0, 0] * theta + a[:, 0, 1] * vel
+                self.velocity[key][rows] = a[:, 1, 0] * theta + a[:, 1, 1] * vel
+                self._current[key][rows] = to
+            moved.append((key, rows, to))
+        self._check(moved, "catch-up")
+        return at
 
-    def features(self, key: str, rows: np.ndarray) -> np.ndarray:
-        """Row-normalized current parameters of modality ``key``'s rows."""
-        self._catch_up(key, rows)
-        return normalize_rows(self.params[key][rows])
+    def features(
+        self, rows_v: np.ndarray, rows_r: np.ndarray, at: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row-normalized parameters of the visible ``rows_v`` and infrared
+        ``rows_r``, each caught up to its step index in ``at`` (default: the
+        current step)."""
+        self._catch_up(rows_v, rows_r, at)
+        return normalize_rows(self.params["v"][rows_v]), normalize_rows(self.params["r"][rows_r])
 
     def sets(self) -> tuple[EmbeddingSet, EmbeddingSet]:
+        self._catch_up(np.arange(len(self.params["v"])), np.arange(len(self.params["r"])))
         out = []
         for key in ("v", "r"):
-            self._catch_up(key, np.arange(len(self.params[key])))
             features = normalize_rows(self.params[key])
             features.setflags(write=False)  # so the set adopts it without a copy
             out.append(
@@ -208,13 +258,22 @@ class TrainableEmbeddings:
         return out[0], out[1]
 
     def apply_step(
-        self, grad_v: np.ndarray, grad_r: np.ndarray, rows_v: np.ndarray, rows_r: np.ndarray
+        self,
+        grad_v: np.ndarray,
+        grad_r: np.ndarray,
+        rows_v: np.ndarray,
+        rows_r: np.ndarray,
+        at: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """One SGD step.  ``grad_v[i]`` is the gradient w.r.t. the normalized
         view of the distinct visible row ``rows_v[i]`` (likewise infrared);
-        every other row has zero gradient and is caught up when read."""
-        for key, grad, rows in (("v", grad_v, rows_v), ("r", grad_r, rows_r)):
-            self._catch_up(key, rows)
+        every other row has zero gradient and is caught up when read.
+
+        ``at`` gives each row the index of the step it takes (default: all
+        the current step).  The call then stands for the steps up to the
+        largest index, and rows of different steps must be disjoint."""
+        at_v, at_r = self._catch_up(rows_v, rows_r, at)
+        for key, grad, rows, stamp in (("v", grad_v, rows_v, at_v + 1), ("r", grad_r, rows_r, at_r + 1)):
             theta = self.params[key][rows]
             norms = np.maximum(np.linalg.norm(theta, axis=1, keepdims=True), 1e-12)
             unit = theta / norms
@@ -224,9 +283,9 @@ class TrainableEmbeddings:
             velocity = self.momentum * self.velocity[key][rows] + g_theta
             self.velocity[key][rows] = velocity
             self.params[key][rows] = theta - self.learning_rate * velocity
-            self._current[key][rows] = self.steps + 1
-            self._check(key, rows, "a step")
-        self.steps += 1
+            self._current[key][rows] = stamp
+        self._check([("v", rows_v, at_v), ("r", rows_r, at_r)], "a step")
+        self.steps = 1 + max(self.steps, int(at_v.max(initial=0)), int(at_r.max(initial=0)))
 
 
 def pk_sample(
@@ -265,15 +324,6 @@ def pk_sample(
             rng.choice(members_r, size=cfg.per_id_infrared, replace=members_r.size < cfg.per_id_infrared)
         )
     return np.concatenate(vis_idx), np.concatenate(inf_idx), np.asarray(chosen), shortfall
-
-
-@contextmanager
-def _diverged_at(where: str):
-    """Prefix a TrainingDivergedError raised inside with where it happened."""
-    try:
-        yield
-    except TrainingDivergedError as err:
-        raise TrainingDivergedError(f"{where}: {err}") from None
 
 
 def _weigh(
@@ -319,8 +369,10 @@ def _metric_report(
 def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) -> EpochState:
     """The epoch-start half: cluster, match, weigh and evaluate.  The state
     returned is that of an evaluation-only pass (zero losses)."""
-    with _diverged_at(f"epoch {epoch}, at its start"):
+    try:
         visible, infrared = trainable.sets()
+    except TrainingDivergedError as err:
+        raise TrainingDivergedError(f"epoch {epoch}, at its start: {err}", err.step) from None
     labels_v_raw, labels_r_raw, labels_joint = cluster_joint(visible, infrared, cfg)
     for lab in (labels_v_raw, labels_r_raw, labels_joint):
         if lab.cluster_count == 0:
@@ -377,6 +429,98 @@ def batches_per_epoch(cfg: PipelineConfig, n_visible: int, n_infrared: int) -> i
     return max(1, (n_visible + n_infrared) // batch)
 
 
+def _disjoint_runs(draws, n_visible: int, n_rows: int) -> list[list[int]]:
+    """The epoch's batches cut into maximal runs of consecutive batches whose
+    rows (visible and infrared, as joint indices) are pairwise disjoint."""
+    run_of = np.full(n_rows, -1)  # the last run that drew each joint row
+    runs: list[list[int]] = []
+    for b, (vis_idx, inf_idx, _, _) in enumerate(draws):
+        rows = np.concatenate([vis_idx, n_visible + inf_idx])
+        if not runs or (run_of[rows] == len(runs) - 1).any():
+            runs.append([])
+        run_of[rows] = len(runs) - 1
+        runs[-1].append(b)
+    return runs
+
+
+def _step_run(
+    trainable: TrainableEmbeddings,
+    state: EpochState,
+    cfg: PipelineConfig,
+    vis: np.ndarray,
+    inf: np.ndarray,
+    terms: tuple[bool, bool],
+) -> np.ndarray:
+    """One SGD step for each of B consecutive PK batches with pairwise
+    disjoint rows, taken as one stacked step: ``vis`` (B, n) and ``inf``
+    (B, m) are the batches' sampled rows.  Returns the (B, 5) loss terms."""
+    n_batches, dim = len(vis), trainable.params["v"].shape[1]
+    first = trainable.steps
+    # gradients are kept per distinct row: local_v[b, i] is the buffer row of
+    # sample vis[b, i]; each row belongs to one batch and steps at its index
+    rows_v, local_v = np.unique(vis.ravel(), return_inverse=True)
+    rows_r, local_r = np.unique(inf.ravel(), return_inverse=True)
+    local_v, local_r = local_v.reshape(vis.shape), local_r.reshape(inf.shape)
+    at_v, at_r = np.empty(rows_v.size, np.int64), np.empty(rows_r.size, np.int64)
+    at_v[local_v] = at_r[local_r] = first + np.arange(n_batches)[:, None]
+    try:
+        fv, fr = trainable.features(rows_v, rows_r, at=(at_v, at_r))
+    except TrainingDivergedError as err:
+        if err.step > first:  # the batches before the failed read step first
+            _step_run(trainable, state, cfg, vis[: err.step - first], inf[: err.step - first], terms)
+        raise
+    fv, fr = fv[local_v], fr[local_r]
+
+    lab_v, lab_r = state.labels_v.labels[vis], state.labels_r.labels[inf]
+    l_v, g_v = cluster_nce(fv, lab_v, state.wbank_v, cfg.tau)
+    l_r, g_r = cluster_nce(fr, lab_r, state.wbank_r, cfg.tau)
+    # one buffer for both modalities, infrared rows after the visible ones;
+    # each sample's terms are added in the sequential order, nce first
+    local = np.concatenate([local_v, rows_v.size + local_r], axis=1)
+    grads = [(local, np.concatenate([g_v, g_r], axis=1))]
+
+    # the joint scope drops noise rows, so batches stack by their kept count
+    feats = np.concatenate([fv, fr], axis=1)
+    joint = state.labels_joint.labels
+    labels = np.concatenate([joint[vis], joint[len(state.visible) + inf]], axis=1)
+    keep = labels >= 0
+    kept = keep.sum(axis=1)
+    l_vr = np.zeros(n_batches)
+    for k in np.unique(kept[kept > 0]):
+        sel = keep & (kept == k)[:, None]
+        l_vr[kept == k], g_vr = cluster_nce(
+            feats[sel].reshape(-1, k, dim), labels[sel].reshape(-1, k), state.wbank_joint, cfg.tau
+        )
+        grads.append((local[sel], g_vr))
+
+    do_intra, do_inter = terms
+    l_intra = np.zeros(n_batches)
+    if do_intra:
+        li_v, gi_v = intra_alignment(fv, lab_v, state.wbank_v)
+        li_r, gi_r = intra_alignment(fr, lab_r, state.wbank_r)
+        l_intra = li_v + li_r
+        grads.append((local, cfg.lambda_intra * np.concatenate([gi_v, gi_r], axis=1)))
+
+    l_inter = np.zeros(n_batches)
+    if do_inter:
+        # pk_sample's rows are label-major, so each label's group is a block
+        labels_per_batch = vis.shape[1] // cfg.per_id_visible
+        l_inter, vg, ig = inter_loss(
+            fv.reshape(n_batches, labels_per_batch, cfg.per_id_visible, dim),
+            fr.reshape(n_batches, labels_per_batch, cfg.per_id_infrared, dim),
+            cfg.mmd_sigma,
+        )
+        g_inter = np.concatenate([vg.reshape(fv.shape), ig.reshape(fr.shape)], axis=1)
+        grads.append((local, cfg.lambda_inter * g_inter))
+
+    buf = GradientBuffer.zeros(rows_v.size + rows_r.size, dim)
+    buf.add_rows(
+        np.concatenate([i.ravel() for i, _ in grads]), np.concatenate([g.reshape(-1, dim) for _, g in grads])
+    )
+    trainable.apply_step(buf.g[: rows_v.size], buf.g[rows_v.size :], rows_v, rows_r, at=(at_v, at_r))
+    return np.stack([l_v, l_r, l_vr, l_intra, l_inter], axis=1)
+
+
 def run_epoch(
     trainable: TrainableEmbeddings,
     cfg: PipelineConfig,
@@ -384,77 +528,42 @@ def run_epoch(
     sampler: np.random.Generator,
     train: bool = True,
 ) -> EpochState:
-    """One full epoch; with train=False only the analysis/metrics half runs."""
+    """One full epoch; with train=False only the analysis/metrics half runs.
+
+    The epoch's PK batches are drawn first, in order, and each maximal run
+    of consecutive batches with pairwise disjoint rows is one stacked step
+    (the module docstring says why that is exact)."""
     state = _analyze(trainable, cfg, epoch)
     if not train:
         return state
 
     n_vis, n_inf = len(state.visible), len(state.infrared)
-    do_intra = epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0
-    do_inter = epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0
+    terms = (
+        epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0,
+        epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0,
+    )
     n_batches = batches_per_epoch(cfg, n_vis, n_inf)
+    draws = [pk_sample(state.labels_v, state.labels_r, cfg, sampler) for _ in range(n_batches)]
+    notes: tuple[str, ...] = ()
+    _, _, used, shortfall = draws[0]  # the same for every batch: the labels are fixed
+    if shortfall:
+        notes = (
+            f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} (shortfall {shortfall})",
+        )
+    first = trainable.steps
     sums = dict.fromkeys(_LOSS_TERMS, 0.0)
-    notes: list[str] = []
-    for batch in range(1, n_batches + 1):
-        vis_idx, inf_idx, used, shortfall = pk_sample(state.labels_v, state.labels_r, cfg, sampler)
-        if shortfall and not notes:  # the shortfall note is the loop's only note
-            notes.append(
-                f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} "
-                f"(shortfall {shortfall})"
-            )
-        # gradients are kept per distinct batch row: local_v[i] is the
-        # buffer row of sample vis_idx[i]
-        rows_v, local_v = np.unique(vis_idx, return_inverse=True)
-        rows_r, local_r = np.unique(inf_idx, return_inverse=True)
-        with _diverged_at(f"epoch {epoch}, batch {batch}"):
-            fv = trainable.features("v", rows_v)[local_v]
-            fr = trainable.features("r", rows_r)[local_r]
-        buf_v = GradientBuffer.zeros(rows_v.size, fv.shape[1])
-        buf_r = GradientBuffer.zeros(rows_r.size, fr.shape[1])
-
-        l_v, g_v = cluster_nce(fv, state.labels_v.labels[vis_idx], state.wbank_v, cfg.tau)
-        buf_v.add_rows(local_v, g_v)
-        l_r, g_r = cluster_nce(fr, state.labels_r.labels[inf_idx], state.wbank_r, cfg.tau)
-        buf_r.add_rows(local_r, g_r)
-
-        jl_v = state.labels_joint.labels[vis_idx]
-        jl_r = state.labels_joint.labels[n_vis + inf_idx]
-        keep_v, keep_r = jl_v >= 0, jl_r >= 0
-        l_vr = 0.0
-        if keep_v.any() or keep_r.any():
-            feats_vr = np.vstack([fv[keep_v], fr[keep_r]])
-            labs_vr = np.concatenate([jl_v[keep_v], jl_r[keep_r]])
-            l_vr, g_vr = cluster_nce(feats_vr, labs_vr, state.wbank_joint, cfg.tau)
-            split = int(keep_v.sum())
-            buf_v.add_rows(local_v[keep_v], g_vr[:split])
-            buf_r.add_rows(local_r[keep_r], g_vr[split:])
-
-        l_intra = 0.0
-        if do_intra:
-            li_v, gi_v = intra_alignment(fv, state.labels_v.labels[vis_idx], state.wbank_v)
-            li_r, gi_r = intra_alignment(fr, state.labels_r.labels[inf_idx], state.wbank_r)
-            l_intra = li_v + li_r
-            buf_v.add_rows(local_v, cfg.lambda_intra * gi_v)
-            buf_r.add_rows(local_r, cfg.lambda_intra * gi_r)
-
-        l_inter = 0.0
-        if do_inter:
-            # pk_sample's rows are label-major, so each label's group is a block
-            l_inter, vg, ig = inter_loss(
-                fv.reshape(used.size, cfg.per_id_visible, -1),
-                fr.reshape(used.size, cfg.per_id_infrared, -1),
-                cfg.mmd_sigma,
-            )
-            buf_v.add_rows(local_v, cfg.lambda_inter * vg.reshape(fv.shape))
-            buf_r.add_rows(local_r, cfg.lambda_inter * ig.reshape(fr.shape))
-
-        with _diverged_at(f"epoch {epoch}, batch {batch}"):
-            trainable.apply_step(buf_v.g, buf_r.g, rows_v, rows_r)
-        for term, value in zip(_LOSS_TERMS, (l_v, l_r, l_vr, l_intra, l_inter)):
-            sums[term] += value
+    try:
+        for run in _disjoint_runs(draws, n_vis, n_vis + n_inf):
+            vis = np.stack([draws[b][0] for b in run])
+            inf = np.stack([draws[b][1] for b in run])
+            for values in _step_run(trainable, state, cfg, vis, inf, terms):
+                for term, value in zip(_LOSS_TERMS, values):
+                    sums[term] += float(value)
+    except TrainingDivergedError as err:
+        raise TrainingDivergedError(f"epoch {epoch}, batch {err.step - first + 1}: {err}", err.step) from None
 
     return replace(
-        state, losses=_mean_losses(cfg, epoch, sums, n_batches), notes=state.notes + tuple(notes)
+        state, losses=_mean_losses(cfg, epoch, sums, n_batches), notes=state.notes + notes
     )
 
 

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from memmatch.metrics import RANKS, RetrievalReport
+from memmatch.objective import GradientBuffer, cluster_nce, compose_report, inter_loss, intra_alignment
+from memmatch.pipeline import TrainingDivergedError, batches_per_epoch, pk_sample, run_epoch
 
 
 def naive_dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
@@ -363,3 +366,86 @@ def naive_pk_sample(vis_labels, inf_labels, cfg, rng):
             rng.choice(members_r, size=cfg.per_id_infrared, replace=members_r.size < cfg.per_id_infrared)
         )
     return np.concatenate(vis_idx), np.concatenate(inf_idx), np.asarray(chosen), shortfall
+
+
+def sequential_epoch(trainable, cfg, epoch, sampler):
+    """One training epoch with one SGD step per PK batch, in order: each
+    batch is sampled, read, differentiated and stepped before the next one
+    is drawn.  Returns the epoch's state like ``run_epoch``; a diverged row
+    raises ``TrainingDivergedError`` naming the epoch and the batch."""
+    state = run_epoch(trainable, cfg, epoch, sampler, train=False)
+    n_vis, n_inf = len(state.visible), len(state.infrared)
+    do_intra = epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0
+    do_inter = epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0
+    n_batches = batches_per_epoch(cfg, n_vis, n_inf)
+    terms = ("l_v", "l_r", "l_vr", "l_intra", "l_inter")
+    sums = dict.fromkeys(terms, 0.0)
+    notes = []
+    for batch in range(1, n_batches + 1):
+        vis_idx, inf_idx, used, shortfall = pk_sample(state.labels_v, state.labels_r, cfg, sampler)
+        if shortfall and not notes:
+            notes.append(
+                f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} "
+                f"(shortfall {shortfall})"
+            )
+        rows_v, local_v = np.unique(vis_idx, return_inverse=True)
+        rows_r, local_r = np.unique(inf_idx, return_inverse=True)
+        try:
+            fv, fr = trainable.features(rows_v, rows_r)
+        except TrainingDivergedError as err:
+            raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {err}") from None
+        fv, fr = fv[local_v], fr[local_r]
+        buf_v = GradientBuffer.zeros(rows_v.size, fv.shape[1])
+        buf_r = GradientBuffer.zeros(rows_r.size, fr.shape[1])
+
+        l_v, g_v = cluster_nce(fv, state.labels_v.labels[vis_idx], state.wbank_v, cfg.tau)
+        buf_v.add_rows(local_v, g_v)
+        l_r, g_r = cluster_nce(fr, state.labels_r.labels[inf_idx], state.wbank_r, cfg.tau)
+        buf_r.add_rows(local_r, g_r)
+
+        jl_v = state.labels_joint.labels[vis_idx]
+        jl_r = state.labels_joint.labels[n_vis + inf_idx]
+        keep_v, keep_r = jl_v >= 0, jl_r >= 0
+        l_vr = 0.0
+        if keep_v.any() or keep_r.any():
+            feats_vr = np.vstack([fv[keep_v], fr[keep_r]])
+            labs_vr = np.concatenate([jl_v[keep_v], jl_r[keep_r]])
+            l_vr, g_vr = cluster_nce(feats_vr, labs_vr, state.wbank_joint, cfg.tau)
+            split = int(keep_v.sum())
+            buf_v.add_rows(local_v[keep_v], g_vr[:split])
+            buf_r.add_rows(local_r[keep_r], g_vr[split:])
+
+        l_intra = 0.0
+        if do_intra:
+            li_v, gi_v = intra_alignment(fv, state.labels_v.labels[vis_idx], state.wbank_v)
+            li_r, gi_r = intra_alignment(fr, state.labels_r.labels[inf_idx], state.wbank_r)
+            l_intra = li_v + li_r
+            buf_v.add_rows(local_v, cfg.lambda_intra * gi_v)
+            buf_r.add_rows(local_r, cfg.lambda_intra * gi_r)
+
+        l_inter = 0.0
+        if do_inter:
+            l_inter, vg, ig = inter_loss(
+                fv.reshape(used.size, cfg.per_id_visible, -1),
+                fr.reshape(used.size, cfg.per_id_infrared, -1),
+                cfg.mmd_sigma,
+            )
+            buf_v.add_rows(local_v, cfg.lambda_inter * vg.reshape(fv.shape))
+            buf_r.add_rows(local_r, cfg.lambda_inter * ig.reshape(fr.shape))
+
+        try:
+            trainable.apply_step(buf_v.g, buf_r.g, rows_v, rows_r)
+        except TrainingDivergedError as err:
+            raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {err}") from None
+        for term, value in zip(terms, (l_v, l_r, l_vr, l_intra, l_inter)):
+            sums[term] += value
+
+    losses = compose_report(
+        **{term: total / n_batches for term, total in sums.items()},
+        lambda_intra=cfg.lambda_intra,
+        lambda_inter=cfg.lambda_inter,
+        epoch=epoch,
+        intra_start_epoch=cfg.intra_start_epoch,
+        inter_start_epoch=cfg.inter_start_epoch,
+    )
+    return replace(state, losses=losses, notes=state.notes + tuple(notes))

@@ -228,6 +228,38 @@ class TestInterLoss:
         assert np.isfinite(gv).all() and np.isfinite(gr).all()
 
 
+class TestLeadingBatchAxes:
+    """Stacked batches give each batch's own result bit for bit: the
+    training loop stacks runs of PK batches into one call."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cluster_nce_and_intra(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        b, n, d, p = rng.integers(1, 5), rng.integers(1, 20), rng.integers(2, 70), rng.integers(1, 12)
+        bank = random_bank(rng, p, d)
+        feats, labels = rng.standard_normal((b, n, d)), rng.integers(0, p, (b, n))
+        for fn, args in ((cluster_nce, (bank, 0.05)), (intra_alignment, (bank,))):
+            losses, grads = fn(feats, labels, *args)
+            assert losses.shape == (b,) and grads.shape == feats.shape
+            for i in range(b):
+                loss, grad = fn(feats[i], labels[i], *args)
+                assert type(loss) is float and loss == losses[i]
+                assert grad.tobytes() == grads[i].tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.9, "median"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inter_loss(self, seed, sigma):
+        rng = np.random.default_rng(5000 + seed)
+        b, labels, n, m, d = rng.integers(1, 5), rng.integers(1, 5), rng.integers(1, 6), rng.integers(1, 6), 8
+        xv, xr = rng.standard_normal((b, labels, n, d)), rng.standard_normal((b, labels, m, d))
+        losses, gv, gr = inter_loss(xv, xr, sigma)
+        assert losses.shape == (b,)
+        for i in range(b):
+            loss, gv_i, gr_i = inter_loss(xv[i], xr[i], sigma)
+            assert type(loss) is float and loss == losses[i]
+            assert gv_i.tobytes() == gv[i].tobytes() and gr_i.tobytes() == gr[i].tobytes()
+
+
 class TestComposeReport:
     def test_identities_enforced(self):
         with pytest.raises(ValueError):

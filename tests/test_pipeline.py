@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from memmatch import pipeline
 from memmatch.cli import main
-from memmatch.clustering import build_memory
+from memmatch.clustering import build_memory, cluster_joint
 from memmatch.dataio import write_embeddings
 from memmatch.matching import assignment_to_csv
 from memmatch.model import EmbeddingSet, PipelineConfig, PseudoLabeling, concat_sets, normalize_rows
@@ -31,6 +33,7 @@ from reference import (
     gradient_gap,
     naive_inter_loss,
     naive_pk_sample,
+    sequential_epoch,
 )
 
 
@@ -203,10 +206,10 @@ class TestTrainableEmbeddings:
                 rows, local = np.unique(batch, return_inverse=True)
                 buf = GradientBuffer.zeros(rows.size, d)
                 buf.add_rows(local, rng.standard_normal((batch.size, d)))
-                if step % 3 == 0:  # read the batch first, as the training loop does
-                    t.features(key, rows)
                 grads[key] = (rows, buf.g)
                 steps[key].append((rows, buf.g.copy()))
+            if step % 3 == 0:  # read the batch first, as the training loop does
+                t.features(grads["v"][0], grads["r"][0])
             t.apply_step(grads["v"][1], grads["r"][1], grads["v"][0], grads["r"][0])
             if step % 250 == 0:  # an epoch start reads every row
                 t.sets()
@@ -218,6 +221,58 @@ class TestTrainableEmbeddings:
             assert np.abs(t.params[key] - theta).max() <= 1e-10 * np.abs(theta).max()
             assert np.abs(t.velocity[key] - velocity).max() <= 1e-10 * np.abs(velocity).max()
 
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.booleans())
+    def test_one_call_for_disjoint_steps_matches_steps_in_turn(self, seed, n_steps, read_first):
+        # n_steps consecutive steps with pairwise disjoint rows, taken in
+        # turn and as one call with ``at``
+        rng = np.random.default_rng(seed)
+        n, d = 30, 5
+        vis = EmbeddingSet(features=normalize_rows(rng.standard_normal((n, d))), modality=np.full(n, "v"))
+        inf = EmbeddingSet(features=normalize_rows(rng.standard_normal((n, d))), modality=np.full(n, "r"))
+        in_turn, grouped = (TrainableEmbeddings(vis, inf, PipelineConfig()) for _ in range(2))
+        warm = [(rng.permutation(n)[:6], rng.permutation(n)[:6], rng.standard_normal((12, d))) for _ in range(3)]
+        for t in (in_turn, grouped):  # rows at different steps, some stale
+            for rows_v, rows_r, g in warm:
+                t.apply_step(g[:6], g[6:], np.sort(rows_v), np.sort(rows_r))
+        split_v, split_r = (np.array_split(rng.permutation(n)[: 4 * n_steps], n_steps) for _ in range(2))
+        batches = [(np.sort(v), np.sort(r)) for v, r in zip(split_v, split_r)]
+        grads = [(rng.standard_normal((v.size, d)), rng.standard_normal((r.size, d))) for v, r in batches]
+        for (rows_v, rows_r), (g_v, g_r) in zip(batches, grads):
+            if read_first:
+                in_turn.features(rows_v, rows_r)
+            in_turn.apply_step(g_v, g_r, rows_v, rows_r)
+        rows_v, rows_r = (np.concatenate([b[i] for b in batches]) for i in (0, 1))
+        at_v, at_r = (
+            np.concatenate([np.full(b[i].size, grouped.steps + k) for k, b in enumerate(batches)]) for i in (0, 1)
+        )
+        if read_first:
+            grouped.features(rows_v, rows_r, at=(at_v, at_r))
+        grouped.apply_step(
+            np.concatenate([g[0] for g in grads]), np.concatenate([g[1] for g in grads]),
+            rows_v, rows_r, at=(at_v, at_r),
+        )
+        assert grouped.steps == in_turn.steps
+        for key in ("v", "r"):
+            assert grouped.params[key].tobytes() == in_turn.params[key].tobytes()
+            assert grouped.velocity[key].tobytes() == in_turn.velocity[key].tobytes()
+            assert np.array_equal(grouped._current[key], in_turn._current[key])
+
+    def test_one_call_reports_its_earliest_failing_step(self):
+        # rows 2 and 5 both overflow in one call standing for two steps;
+        # row 5 takes the earlier one, so taken in turn it fails first
+        vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=4))
+        t = TrainableEmbeddings(vis, inf, PipelineConfig(learning_rate=100.0, weight_decay=0.1))
+        t.params["v"][2] *= 1e153  # one catch-up (x 9) stays finite, the step does not
+        t.params["v"][5] *= 1e154
+        no_rows = np.empty(0, np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="modality 'v' row 5 .* after a step") as err:
+                t.apply_step(
+                    np.zeros((2, vis.dim)), np.zeros((0, vis.dim)), np.array([2, 5]), no_rows,
+                    at=(np.array([1, 0]), no_rows),
+                )
+        assert err.value.step == 0
+
     def test_non_finite_catch_up_raises(self):
         vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=3))
         t = TrainableEmbeddings(vis, inf, PipelineConfig(learning_rate=1e150, weight_decay=0.5))
@@ -226,7 +281,7 @@ class TestTrainableEmbeddings:
             t.apply_step(no_grad, no_grad, no_rows, no_rows)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="modality 'v' row 3 .* after catch-up"):
-                t.features("v", np.array([3, 4]))
+                t.features(np.array([3, 4]), no_rows)
 
     def test_small_step_allocates_less_than_one_parameter_matrix(self):
         n, d = 200_000, 64
@@ -384,6 +439,144 @@ class TestRunEpoch:
         assert "scope 'v' (3 samples, dbscan_eps=1e-06, dbscan_min_samples=4)" in str(err.value)
 
 
+def train_both(vis, inf, cfg, samplers=None):
+    """``cfg.epochs`` epochs of ``run_epoch`` and of the per-batch oracle
+    ``sequential_epoch`` from the same start, compared bit for bit; returns
+    the grouped trainable and its first epoch's state."""
+    grouped, oracle = TrainableEmbeddings(vis, inf, cfg), TrainableEmbeddings(vis, inf, cfg)
+    s_grouped, s_oracle = samplers or (named_stream(cfg.seed, "sampler"), named_stream(cfg.seed, "sampler"))
+    states = []
+    for epoch in range(1, cfg.epochs + 1):
+        states.append(run_epoch(grouped, cfg, epoch, s_grouped))
+        want = sequential_epoch(oracle, cfg, epoch, s_oracle)
+        assert repr(states[-1].losses) == repr(want.losses)  # repr tells -0.0 from 0.0
+        assert states[-1].notes == want.notes
+    assert grouped.steps == oracle.steps
+    for key in ("v", "r"):
+        assert grouped.params[key].tobytes() == oracle.params[key].tobytes()
+        assert grouped.velocity[key].tobytes() == oracle.velocity[key].tobytes()
+        assert np.array_equal(grouped._current[key], oracle._current[key])
+    return grouped, states[0]
+
+
+def first_epoch_draws(state, cfg):
+    """The PK batches of a run's first epoch, replayed from a fresh stream."""
+    sampler = named_stream(cfg.seed, "sampler")
+    n = batches_per_epoch(cfg, len(state.visible), len(state.infrared))
+    return [pk_sample(state.labels_v, state.labels_r, cfg, sampler) for _ in range(n)]
+
+
+class Rotation:
+    """Stands in for the sampler's generator: every ``choice`` takes the next
+    ``size`` items of its pool in turn, each pool with its own cursor, or,
+    with ``advance=False``, always the first ones."""
+
+    def __init__(self, advance: bool):
+        self.advance, self.cursors = advance, {}
+
+    def choice(self, pool, size, replace):
+        pool = np.asarray(pool)
+        start = self.cursors.get(pool.tobytes(), 0)
+        if self.advance:
+            self.cursors[pool.tobytes()] = start + size
+        return pool[(start + np.arange(size)) % pool.size]
+
+
+class TestGroupedEpoch:
+    """``run_epoch`` takes runs of row-disjoint PK batches as one stacked
+    step; features, velocities, step stamps, losses and notes equal those of
+    the per-batch oracle bit for bit."""
+
+    def test_joint_noise_rows_in_batches(self, monkeypatch):
+        # a row with a label of its own modality is never joint noise (its
+        # joint neighbourhood holds its modality's), so noise is put into
+        # the joint labels here: every third row, unevenly across batches
+        def joint_with_noise(visible, infrared, cfg):
+            labels_v, labels_r, joint = cluster_joint(visible, infrared, cfg)
+            labels = joint.labels.copy()
+            labels[::3] = -1
+            kept = labels >= 0
+            uniq, labels[kept] = np.unique(labels[kept], return_inverse=True)
+            return labels_v, labels_r, PseudoLabeling(scope="vr", labels=labels, cluster_count=uniq.size)
+
+        monkeypatch.setattr(pipeline, "cluster_joint", joint_with_noise)
+        vis, inf = generate(tiny_spec(outlier_fraction=0.1))
+        cfg = tiny_cfg(batch_ids=2, per_id_visible=2, per_id_infrared=2)
+        state = train_both(vis, inf, cfg)[1]
+        joint = np.split(state.labels_joint.labels, [len(vis)])
+        draws = first_epoch_draws(state, cfg)
+        kept = {int((joint[0][v] >= 0).sum() + (joint[1][r] >= 0).sum()) for v, r, _, _ in draws}
+        assert len(kept) > 1  # batches of a run stack by their kept count
+
+    def test_draws_with_replacement(self):
+        vis, inf = generate(tiny_spec())
+        cfg = tiny_cfg(batch_ids=2, per_id_visible=9, per_id_infrared=3)
+        state = train_both(vis, inf, cfg)[1]
+        assert state.labels_v.cluster_sizes().min() < cfg.per_id_visible
+        assert any(np.unique(v).size < v.size for v, _, _, _ in first_epoch_draws(state, cfg))
+
+    def test_shortfall_epoch(self):
+        vis, inf = generate(tiny_spec())
+        state = train_both(vis, inf, tiny_cfg(batch_ids=8, per_id_visible=1, per_id_infrared=1))[1]
+        assert any("shortfall" in note for note in state.notes)
+
+    @pytest.mark.parametrize("sigma", ["median", 0.7])
+    @pytest.mark.parametrize(
+        "intra, inter_start", [(0.0, 1), (0.5, 3), (0.5, 2)], ids=["inter", "intra", "both-from-2"]
+    )
+    def test_loss_terms_and_bandwidths(self, sigma, intra, inter_start):
+        vis, inf = generate(tiny_spec(outlier_fraction=0.1))
+        cfg = tiny_cfg(mmd_sigma=sigma, lambda_intra=intra, inter_start_epoch=inter_start, batch_ids=2)
+        train_both(vis, inf, cfg)
+
+    @pytest.mark.parametrize("advance, runs", [(False, 10), (True, 1)], ids=["all-conflict", "none-conflict"])
+    def test_conflict_extremes(self, monkeypatch, advance, runs):
+        # five clean identities of 8 rows a side; batches of one label, 4 + 4
+        # rows: the same rows every batch, or every row once per epoch.  The
+        # infrared rows are rolled by half an identity, so no infrared
+        # cluster holds the row indices of a visible one and ``Rotation``
+        # keeps their cursors apart
+        spec = tiny_spec(sub_modes=1, modality_offset=0.0, noise_sigma=1e-6, sub_mode_spread=1e-6)
+        vis, inf = generate(spec)
+        inf = EmbeddingSet(np.roll(inf.features, 4, axis=0), inf.modality, np.roll(inf.true_identity, 4))
+        cfg = tiny_cfg(epochs=1, batch_ids=1, per_id_visible=4, per_id_infrared=4)
+        assert batches_per_epoch(cfg, len(vis), len(inf)) == 10
+        calls = []
+        original = TrainableEmbeddings.apply_step
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrainableEmbeddings, "apply_step", counted)
+        grouped, state = train_both(vis, inf, cfg, (Rotation(advance), Rotation(advance)))
+        assert state.labels_v.cluster_sizes().tolist() == [8] * 5
+        assert state.labels_r.cluster_sizes().tolist() == [8] * 5
+        assert sum(c is grouped for c in calls) == runs
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(3, 6),
+        st.sampled_from([0.0, 0.15]),
+        st.integers(1, 7),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from(["median", 0.7]),
+        st.sampled_from([0.0, 0.5]),
+        st.integers(1, 3),
+        st.integers(0, 1000),
+    )
+    def test_matches_sequential_oracle(
+        self, identities, outliers, batch_ids, per_v, per_r, sigma, intra, inter_start, seed
+    ):
+        vis, inf = generate(tiny_spec(identities=identities, outlier_fraction=outliers, seed=seed))
+        cfg = tiny_cfg(
+            batch_ids=batch_ids, per_id_visible=per_v, per_id_infrared=per_r, mmd_sigma=sigma,
+            lambda_intra=intra, inter_start_epoch=inter_start, seed=seed,
+        )
+        train_both(vis, inf, cfg)
+
+
 class TestRunTraining:
     def test_non_finite_input_rejected(self):
         vis, inf = generate(tiny_spec())
@@ -486,6 +679,56 @@ class TestRunTraining:
                 run_training(vis, inf, cfg)
         assert re.match(r"epoch [12], batch \d+: modality '[vr]' row \d+ has parameter norm", str(err.value))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diverged_report_matches_sequential(self, seed):
+        vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21 + seed))
+        cfg = PipelineConfig(
+            epochs=2, dbscan_eps=0.3, learning_rate=1e150, weight_decay=0.5, seed=seed,
+            batch_ids=2, per_id_visible=2, per_id_infrared=2,
+        )
+        assert diverged(run_epoch, vis, inf, cfg) == diverged(sequential_epoch, vis, inf, cfg)
+
+    @pytest.mark.parametrize(
+        "seed, rig, phase",
+        [
+            (0, [("r", 7)], "epoch 1, batch 4: modality 'r' row 7 .* after catch-up"),
+            (2, [("v", 3)], "epoch 1, batch 20: modality 'v' row 3 .* after catch-up"),
+            (5, [("v", 3), ("r", 20)], "epoch 1, batch 12: modality 'r' row 20 .* after catch-up"),
+            (6, [("v", 3), ("r", 20)], "epoch 1, batch 9: modality 'r' row 20 .* after catch-up"),
+        ],
+    )
+    def test_diverged_catch_up_report_matches_sequential(self, seed, rig, phase):
+        # rows near overflow: caught up over two steps (|1 - lr wd| = 9)
+        # they stop being finite, here in the middle of a run of batches
+        vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
+        cfg = PipelineConfig(
+            epochs=2, dbscan_eps=0.3, learning_rate=100.0, weight_decay=0.1, seed=seed,
+            batch_ids=1, per_id_visible=2, per_id_infrared=2,
+        )
+        grouped = diverged(run_epoch, vis, inf, cfg, rig)
+        assert re.match(phase, grouped)
+        assert grouped == diverged(sequential_epoch, vis, inf, cfg, rig)
+
+    def test_step_failure_reported_before_a_later_catch_up_failure(self):
+        # batch 1's row fails its step, batch 2's row the catch-up to step 1;
+        # the two batches are disjoint, so one stacked step reads both first
+        vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
+        cfg = PipelineConfig(
+            epochs=1, dbscan_eps=0.3, learning_rate=100.0, weight_decay=0.1, seed=0,
+            batch_ids=1, per_id_visible=2, per_id_infrared=2,
+        )
+        state = run_epoch(TrainableEmbeddings(vis, inf, cfg), cfg, 1, named_stream(cfg.seed, "sampler"), train=False)
+        (v1, r1, _, _), (v2, r2, _, _) = first_epoch_draws(state, cfg)[:2]
+        assert not np.intersect1d(v1, v2).size and not np.intersect1d(r1, r2).size
+        step_row, catch_up_row = ("v", int(v1[0])), ("r", int(r2[0]))
+        for rig, phase in (
+            ([catch_up_row], f"epoch 1, batch 2: modality 'r' row {r2[0]} .* after catch-up"),
+            ([step_row, catch_up_row], f"epoch 1, batch 1: modality 'v' row {v1[0]} .* after a step"),
+        ):
+            grouped = diverged(run_epoch, vis, inf, cfg, rig, scale=1e154)
+            assert re.match(phase, grouped)
+            assert grouped == diverged(sequential_epoch, vis, inf, cfg, rig, scale=1e154)
+
     def test_tags_for_single_memory(self):
         assert "baseline-matching" in config_tags(PipelineConfig(n_memories=1))
         assert config_tags(PipelineConfig()) == ()
@@ -495,6 +738,20 @@ class TestRunTraining:
         assert batches_per_epoch(cfg, 200, 200) == 6  # 400 // 64
         assert batches_per_epoch(cfg, 10, 10) == 1
 
+
+
+def diverged(epoch_fn, vis, inf, cfg, rig=(), scale=1e153):
+    """The message of the TrainingDivergedError that training ``cfg.epochs``
+    epochs with ``epoch_fn`` raises, the parameter rows ``rig`` (modality,
+    row) scaled by ``scale`` first."""
+    trainable, sampler = TrainableEmbeddings(vis, inf, cfg), named_stream(cfg.seed, "sampler")
+    for key, row in rig:
+        trainable.params[key][row] *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            for epoch in range(1, cfg.epochs + 1):
+                epoch_fn(trainable, cfg, epoch, sampler)
+    return str(err.value)
 
 
 def same_partition(a, b):
