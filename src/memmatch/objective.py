@@ -22,13 +22,15 @@ LOSS_CSV_HEADER = "epoch,l_v,l_r,l_vr,l_cmc,l_intra,l_inter,l_sca,l_overall"
 
 @dataclass(frozen=True)
 class GradientBuffer:
-    """Gradient accumulator for the rows of one batch, one modality.
+    """Gradient accumulator for the rows one step touches.
 
-    Batch-local: row i of ``g`` belongs to the i-th distinct embedding row
-    the batch touched (``np.unique(batch_rows, return_inverse=True)`` gives
+    Step-local: row i of ``g`` belongs to the i-th distinct embedding row
+    the step touched (``np.unique(batch_rows, return_inverse=True)`` gives
     the rows and the local index of each sample), so its size is the batch,
-    not N.  Rows no term adds to stay exactly zero; duplicate indices
-    accumulate.
+    not N.  Rows no term adds to stay exactly zero.  Each call adds one
+    term: distinct indices take one fancy-index add, and repeated ones (a
+    draw with replacement) ``np.add.at``, which adds them in turn; either
+    way a row's sum is that of adding its samples one by one.
     """
 
     g: np.ndarray
@@ -38,7 +40,10 @@ class GradientBuffer:
         return cls(g=np.zeros((n, d)))
 
     def add_rows(self, rows: np.ndarray, grad: np.ndarray) -> None:
-        np.add.at(self.g, rows, grad)
+        if np.bincount(np.ravel(rows)).max(initial=0) <= 1:
+            self.g[rows] += grad
+        else:
+            np.add.at(self.g, rows, grad)
 
 
 @dataclass(frozen=True)

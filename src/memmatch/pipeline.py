@@ -8,15 +8,18 @@ normalization).  The only randomness is the PK sampler's, the named stream
 "sampler" of cfg.seed (clustering and k-means are deterministic); synthetic
 data draws from its own stream, "synth" of SynthSpec.seed.
 
-Batches are grouped, not reordered.  The epoch's PK batches are drawn
-first, in order, then cut into maximal runs of consecutive batches whose
-rows are pairwise disjoint, and each run is one stacked step.  This is
-exact: labels and memories stay fixed for the epoch, so a batch's loss and
-gradient read only its own rows, and an SGD update with momentum and weight
-decay reads only its row's parameters, velocity and gradient.  So the batches
-of a run cannot see each other's updates; each row is caught up to its
-batch's step, stepped there, and the losses and per-row sums keep the
-sequential order of terms.  A run of one batch is the plain per-batch step.
+Batches keep their sequential arithmetic but not their sequential timing.
+The epoch's PK batches are drawn first, in order, and each gets a
+dependency level: one past the highest level of any earlier batch that
+shares a row with it.  Each level is one stacked step, so a batch waits only
+for the batches it shares rows with.  This is exact: labels and memories
+stay fixed for the epoch, so a batch's loss and gradient read only its own
+rows, and an SGD update with momentum and weight decay reads only its row's
+parameters, velocity and gradient.  A row's batches fall in ascending
+levels, so its updates keep their sequential order; each row is caught up
+to its own batch's step index and stepped there, the per-row gradient sums
+keep the sequential order of terms, and the losses are summed in batch
+order.  A divergence is reported as the per-batch loop would meet it first.
 """
 from __future__ import annotations
 
@@ -145,6 +148,12 @@ class TrainableEmbeddings:
     and weight decay lam at learning rate eta on the raw parameters, the
     three fixed from ``cfg`` at construction.
 
+    Parameters, velocities and step stamps live in one joint (N_v + N_r) x d
+    table each, visible rows first, the order of ``concat_sets``;
+    ``params``, ``velocity`` and ``_current`` hold each modality's view of
+    them.  So a batch's read, its step and each check are one pass over the
+    joint rows ``rows_v`` and ``N_v + rows_r``.
+
     A step costs O(batch), not O(N d).  A row the step leaves out has zero
     gradient, so its (theta, v) moves by one fixed linear map:
     theta' = (1 - eta lam) theta - eta mu v and v' = lam theta + mu v, i.e.
@@ -153,10 +162,11 @@ class TrainableEmbeddings:
     ``features`` (a batch) or ``sets`` (an epoch start), or stepped.  Rows of
     ``params`` and ``velocity`` are therefore stale until read.
 
-    One read and one ``apply_step`` may stand for several consecutive steps
-    whose rows are pairwise disjoint: each row then carries the index of
-    the step it belongs to, is caught up to that index and stamped one past
-    it.  A row's update reads only its own parameters, velocity and
+    One read and one ``apply_step`` may stand for several steps whose rows
+    are pairwise disjoint, in any order of their indices: each row then
+    carries the index of the step it belongs to, is caught up to that index
+    and stamped one past it, and ``steps`` becomes one past the largest
+    index taken.  A row's update reads only its own parameters, velocity and
     gradient, and the catch-up replays exactly the zero-gradient steps in
     between, so this is the arithmetic of taking the steps one by one, bit
     for bit (updates with disjoint supports commute).
@@ -164,19 +174,24 @@ class TrainableEmbeddings:
     A row whose norm stops being finite, after a catch-up or a step, raises
     ``TrainingDivergedError``.  A call checks its catch-ups, then its steps;
     each check names the row of the lowest step index, visible before
-    infrared, then ascending row, and carries that index as ``step``.
+    infrared, then in the order given, and carries that index as ``step``.
     """
 
     def __init__(self, visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig):
-        self.params = {"v": visible.features.copy(), "r": infrared.features.copy()}
-        self.velocity = {k: np.zeros_like(p) for k, p in self.params.items()}
+        self.n_visible = len(visible)
+        self._theta = np.concatenate([visible.features, infrared.features])
+        self._velocity = np.zeros_like(self._theta)
+        self._stamp = np.zeros(len(self._theta), np.int64)
+        self.params, self.velocity, self._current = (
+            {"v": table[: self.n_visible], "r": table[self.n_visible :]}
+            for table in (self._theta, self._velocity, self._stamp)
+        )
         # read-only arrays, shared with the inputs and every set ``sets`` makes
         self.modality = {"v": visible.modality, "r": infrared.modality}
         self.truth = {"v": visible.true_identity, "r": infrared.true_identity}
         lr, mu, lam = cfg.learning_rate, cfg.momentum, cfg.weight_decay
         self.learning_rate, self.momentum, self.weight_decay = lr, mu, lam
         self.steps = 0
-        self._current = {k: np.zeros(len(p), np.int64) for k, p in self.params.items()}
         self._map = np.array([[1.0 - lr * lam, -lr * mu], [lam, mu]])
         self._powers = np.eye(2)[None]  # _powers[k] = A^k, grown on demand
 
@@ -191,47 +206,44 @@ class TrainableEmbeddings:
             self._powers = grown
         return self._powers[lag]
 
-    def _check(self, reads, after: str) -> None:
-        """Raise for the earliest non-finite row of ``reads``, (key, rows, at)
-        triples: the lowest step index, then the order of ``reads``, then
-        the order of ``rows``."""
-        first = None
-        for key, rows, at in reads:
-            sq_norms = np.square(self.params[key][rows]).sum(axis=1)
-            bad = np.flatnonzero(~np.isfinite(sq_norms))
-            if bad.size:
-                i = bad[np.argmin(at[bad])]
-                if first is None or at[i] < first[0]:
-                    first = (int(at[i]), key, int(rows[i]), float(np.sqrt(sq_norms[i])))
-        if first is not None:
-            step, key, row, norm = first
+    def _joint(
+        self, rows_v: np.ndarray, rows_r: np.ndarray, at: tuple[np.ndarray, np.ndarray] | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The joint rows of ``rows_v`` and ``rows_r`` and their step indices
+        (default: the current step)."""
+        rows = np.concatenate([rows_v, self.n_visible + np.asarray(rows_r)])
+        return rows, np.full(rows.shape, self.steps) if at is None else np.concatenate(at)
+
+    def _check(self, rows: np.ndarray, at: np.ndarray, theta: np.ndarray, after: str) -> None:
+        """Raise for the earliest non-finite joint row of ``rows``, whose
+        parameters are ``theta``: the lowest step index ``at``, then the
+        order of ``rows``."""
+        sq_norms = np.square(theta).sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(sq_norms))
+        if bad.size:
+            i = bad[np.argmin(at[bad])]
+            key, row = ("v", int(rows[i])) if rows[i] < self.n_visible else ("r", int(rows[i]) - self.n_visible)
             raise TrainingDivergedError(
-                f"modality {key!r} row {row} has parameter norm {norm!r} after {after} "
+                f"modality {key!r} row {row} has parameter norm {float(np.sqrt(sq_norms[i]))!r} after {after} "
                 f"(learning_rate={self.learning_rate}, weight_decay={self.weight_decay}, momentum={self.momentum})",
-                step=step,
+                step=int(at[i]),
             )
 
-    def _catch_up(
-        self, rows_v: np.ndarray, rows_r: np.ndarray, at: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bring the rows to their step indices ``at`` (default: the current
-        step) and check those that moved; returns the indices."""
-        if at is None:
-            at = np.full(rows_v.shape, self.steps), np.full(rows_r.shape, self.steps)
-        moved = []
-        for key, rows, to in (("v", rows_v, at[0]), ("r", rows_r, at[1])):
-            lag = to - self._current[key][rows]
-            stale = lag > 0
-            rows, to = rows[stale], to[stale]
-            if rows.size:
-                a = self._power(lag[stale])[..., None]
-                theta, vel = self.params[key][rows], self.velocity[key][rows]
-                self.params[key][rows] = a[:, 0, 0] * theta + a[:, 0, 1] * vel
-                self.velocity[key][rows] = a[:, 1, 0] * theta + a[:, 1, 1] * vel
-                self._current[key][rows] = to
-            moved.append((key, rows, to))
-        self._check(moved, "catch-up")
-        return at
+    def _catch_up(self, rows: np.ndarray, at: np.ndarray) -> None:
+        """Bring the joint ``rows`` to their step indices ``at`` and check
+        those that moved."""
+        lag = at - self._stamp[rows]
+        stale = np.flatnonzero(lag > 0)
+        if not stale.size:
+            return
+        rows, at = rows[stale], at[stale]
+        a = self._power(lag[stale])[..., None]
+        theta, vel = self._theta[rows], self._velocity[rows]
+        caught_up = a[:, 0, 0] * theta + a[:, 0, 1] * vel
+        self._theta[rows] = caught_up
+        self._velocity[rows] = a[:, 1, 0] * theta + a[:, 1, 1] * vel
+        self._stamp[rows] = at
+        self._check(rows, at, caught_up, "catch-up")
 
     def features(
         self, rows_v: np.ndarray, rows_r: np.ndarray, at: tuple[np.ndarray, np.ndarray] | None = None
@@ -239,13 +251,18 @@ class TrainableEmbeddings:
         """Row-normalized parameters of the visible ``rows_v`` and infrared
         ``rows_r``, each caught up to its step index in ``at`` (default: the
         current step)."""
-        self._catch_up(rows_v, rows_r, at)
-        return normalize_rows(self.params["v"][rows_v]), normalize_rows(self.params["r"][rows_r])
+        rows, at_joint = self._joint(rows_v, rows_r, at)
+        self._catch_up(rows, at_joint)
+        features = normalize_rows(self._theta[rows])
+        return features[: len(rows_v)], features[len(rows_v) :]
 
     def sets(self) -> tuple[EmbeddingSet, EmbeddingSet]:
-        self._catch_up(np.arange(len(self.params["v"])), np.arange(len(self.params["r"])))
         out = []
-        for key in ("v", "r"):
+        for key, first in (("v", 0), ("r", self.n_visible)):
+            # a modality at a time: the catch-up's temporaries stay the size
+            # of one modality's table, which keeps the run's peak memory
+            rows = first + np.arange(len(self.params[key]))
+            self._catch_up(rows, np.full(rows.size, self.steps))
             features = normalize_rows(self.params[key])
             features.setflags(write=False)  # so the set adopts it without a copy
             out.append(
@@ -270,22 +287,24 @@ class TrainableEmbeddings:
         every other row has zero gradient and is caught up when read.
 
         ``at`` gives each row the index of the step it takes (default: all
-        the current step).  The call then stands for the steps up to the
-        largest index, and rows of different steps must be disjoint."""
-        at_v, at_r = self._catch_up(rows_v, rows_r, at)
-        for key, grad, rows, stamp in (("v", grad_v, rows_v, at_v + 1), ("r", grad_r, rows_r, at_r + 1)):
-            theta = self.params[key][rows]
-            norms = np.maximum(np.linalg.norm(theta, axis=1, keepdims=True), 1e-12)
-            unit = theta / norms
-            # d(theta/|theta|)/dtheta applied to the normalized-view gradient
-            g_theta = (grad - (grad * unit).sum(axis=1, keepdims=True) * unit) / norms
-            g_theta = g_theta + self.weight_decay * theta
-            velocity = self.momentum * self.velocity[key][rows] + g_theta
-            self.velocity[key][rows] = velocity
-            self.params[key][rows] = theta - self.learning_rate * velocity
-            self._current[key][rows] = stamp
-        self._check([("v", rows_v, at_v), ("r", rows_r, at_r)], "a step")
-        self.steps = 1 + max(self.steps, int(at_v.max(initial=0)), int(at_r.max(initial=0)))
+        the current step).  The call then stands for those steps, and rows
+        of different steps must be disjoint."""
+        rows, at_joint = self._joint(rows_v, rows_r, at)
+        self._catch_up(rows, at_joint)
+        grad = np.concatenate([grad_v, grad_r])
+        theta = self._theta[rows]
+        norms = np.maximum(np.linalg.norm(theta, axis=1, keepdims=True), 1e-12)
+        unit = theta / norms
+        # d(theta/|theta|)/dtheta applied to the normalized-view gradient
+        g_theta = (grad - (grad * unit).sum(axis=1, keepdims=True) * unit) / norms
+        g_theta = g_theta + self.weight_decay * theta
+        velocity = self.momentum * self._velocity[rows] + g_theta
+        self._velocity[rows] = velocity
+        stepped = theta - self.learning_rate * velocity
+        self._theta[rows] = stepped
+        self._stamp[rows] = at_joint + 1
+        self._check(rows, at_joint, stepped, "a step")
+        self.steps = max(self.steps, 1 + (self.steps if at is None else int(at_joint.max(initial=-1))))
 
 
 def pk_sample(
@@ -429,96 +448,109 @@ def batches_per_epoch(cfg: PipelineConfig, n_visible: int, n_infrared: int) -> i
     return max(1, (n_visible + n_infrared) // batch)
 
 
-def _disjoint_runs(draws, n_visible: int, n_rows: int) -> list[list[int]]:
-    """The epoch's batches cut into maximal runs of consecutive batches whose
-    rows (visible and infrared, as joint indices) are pairwise disjoint."""
-    run_of = np.full(n_rows, -1)  # the last run that drew each joint row
-    runs: list[list[int]] = []
-    for b, (vis_idx, inf_idx, _, _) in enumerate(draws):
-        rows = np.concatenate([vis_idx, n_visible + inf_idx])
-        if not runs or (run_of[rows] == len(runs) - 1).any():
-            runs.append([])
-        run_of[rows] = len(runs) - 1
-        runs[-1].append(b)
-    return runs
+@dataclass
+class _Batches:
+    """An epoch's PK batches, drawn up front, and what stepping them left.
+
+    ``rows[b]`` holds batch b's joint rows (``concat_sets`` order): its
+    ``n_v`` visible samples, then its infrared ones.  Batch b takes step
+    ``first + b`` at dependency level ``level[b]``; ``ran[b]`` records that
+    it stepped and ``losses[b]`` its five loss terms."""
+
+    rows: np.ndarray
+    n_v: int
+    level: np.ndarray
+    first: int
+    terms: tuple[bool, bool]
+    ran: np.ndarray
+    losses: np.ndarray
+
+
+def _levels(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Each batch's dependency level: one past the highest level of any
+    earlier batch that shares a joint row with it, 0 when none does.  The
+    batches of one level are pairwise row-disjoint."""
+    level_of = np.full(n_rows, -1)  # the highest level that drew each row so far
+    level = np.empty(len(rows), np.int64)
+    for b, batch in enumerate(rows):
+        level[b] = level_of[batch].max() + 1
+        level_of[batch] = level[b]
+    return level
 
 
 def _step_run(
-    trainable: TrainableEmbeddings,
-    state: EpochState,
-    cfg: PipelineConfig,
-    vis: np.ndarray,
-    inf: np.ndarray,
-    terms: tuple[bool, bool],
+    trainable: TrainableEmbeddings, state: EpochState, cfg: PipelineConfig, batches: _Batches, now: np.ndarray
 ) -> np.ndarray:
-    """One SGD step for each of B consecutive PK batches with pairwise
-    disjoint rows, taken as one stacked step: ``vis`` (B, n) and ``inf``
-    (B, m) are the batches' sampled rows.  Returns the (B, 5) loss terms."""
-    n_batches, dim = len(vis), trainable.params["v"].shape[1]
-    first = trainable.steps
-    # gradients are kept per distinct row: local_v[b, i] is the buffer row of
-    # sample vis[b, i]; each row belongs to one batch and steps at its index
-    rows_v, local_v = np.unique(vis.ravel(), return_inverse=True)
-    rows_r, local_r = np.unique(inf.ravel(), return_inverse=True)
-    local_v, local_r = local_v.reshape(vis.shape), local_r.reshape(inf.shape)
-    at_v, at_r = np.empty(rows_v.size, np.int64), np.empty(rows_r.size, np.int64)
-    at_v[local_v] = at_r[local_r] = first + np.arange(n_batches)[:, None]
-    try:
-        fv, fr = trainable.features(rows_v, rows_r, at=(at_v, at_r))
-    except TrainingDivergedError as err:
-        if err.step > first:  # the batches before the failed read step first
-            _step_run(trainable, state, cfg, vis[: err.step - first], inf[: err.step - first], terms)
-        raise
-    fv, fr = fv[local_v], fr[local_r]
+    """One SGD step for each of the pairwise row-disjoint batches ``now``,
+    taken as one stacked step at each batch's own step index.  Returns their
+    (len(now), 5) loss terms; they count as run once the read has passed."""
+    n_v, n_vis, dim = batches.n_v, trainable.n_visible, trainable.params["v"].shape[1]
+    sampled = batches.rows[now]
+    # gradients are kept per distinct joint row, visible rows first:
+    # local[b, i] is the buffer row of sample sampled[b, i]
+    rows, local = np.unique(sampled, return_inverse=True)
+    local = local.reshape(sampled.shape)
+    at = np.empty(rows.size, np.int64)
+    at[local] = batches.first + now[:, None]
+    samples = local.ravel()
+    split = int(np.searchsorted(rows, n_vis))
+    rows_v, rows_r, at_v, at_r = rows[:split], rows[split:] - n_vis, at[:split], at[split:]
+    feats = np.concatenate(trainable.features(rows_v, rows_r, at=(at_v, at_r)))[local]
+    fv, fr = feats[:, :n_v], feats[:, n_v:]
 
-    lab_v, lab_r = state.labels_v.labels[vis], state.labels_r.labels[inf]
+    # each sample's terms are added in the sequential order, nce first
+    buf = GradientBuffer.zeros(rows.size, dim)
+    lab_v, lab_r = state.labels_v.labels[sampled[:, :n_v]], state.labels_r.labels[sampled[:, n_v:] - n_vis]
     l_v, g_v = cluster_nce(fv, lab_v, state.wbank_v, cfg.tau)
     l_r, g_r = cluster_nce(fr, lab_r, state.wbank_r, cfg.tau)
-    # one buffer for both modalities, infrared rows after the visible ones;
-    # each sample's terms are added in the sequential order, nce first
-    local = np.concatenate([local_v, rows_v.size + local_r], axis=1)
-    grads = [(local, np.concatenate([g_v, g_r], axis=1))]
+    buf.add_rows(samples, np.concatenate([g_v, g_r], axis=1).reshape(-1, dim))
+    l_vr, g_vr = cluster_nce(feats, state.labels_joint.labels[sampled], state.wbank_joint, cfg.tau)
+    buf.add_rows(samples, g_vr.reshape(-1, dim))
 
-    # the joint scope drops noise rows, so batches stack by their kept count
-    feats = np.concatenate([fv, fr], axis=1)
-    joint = state.labels_joint.labels
-    labels = np.concatenate([joint[vis], joint[len(state.visible) + inf]], axis=1)
-    keep = labels >= 0
-    kept = keep.sum(axis=1)
-    l_vr = np.zeros(n_batches)
-    for k in np.unique(kept[kept > 0]):
-        sel = keep & (kept == k)[:, None]
-        l_vr[kept == k], g_vr = cluster_nce(
-            feats[sel].reshape(-1, k, dim), labels[sel].reshape(-1, k), state.wbank_joint, cfg.tau
-        )
-        grads.append((local[sel], g_vr))
-
-    do_intra, do_inter = terms
-    l_intra = np.zeros(n_batches)
+    do_intra, do_inter = batches.terms
+    l_intra = np.zeros(len(now))
     if do_intra:
         li_v, gi_v = intra_alignment(fv, lab_v, state.wbank_v)
         li_r, gi_r = intra_alignment(fr, lab_r, state.wbank_r)
         l_intra = li_v + li_r
-        grads.append((local, cfg.lambda_intra * np.concatenate([gi_v, gi_r], axis=1)))
+        buf.add_rows(samples, cfg.lambda_intra * np.concatenate([gi_v, gi_r], axis=1).reshape(-1, dim))
 
-    l_inter = np.zeros(n_batches)
+    l_inter = np.zeros(len(now))
     if do_inter:
         # pk_sample's rows are label-major, so each label's group is a block
-        labels_per_batch = vis.shape[1] // cfg.per_id_visible
+        labels_per_batch = n_v // cfg.per_id_visible
         l_inter, vg, ig = inter_loss(
-            fv.reshape(n_batches, labels_per_batch, cfg.per_id_visible, dim),
-            fr.reshape(n_batches, labels_per_batch, cfg.per_id_infrared, dim),
+            fv.reshape(len(now), labels_per_batch, cfg.per_id_visible, dim),
+            fr.reshape(len(now), labels_per_batch, cfg.per_id_infrared, dim),
             cfg.mmd_sigma,
         )
         g_inter = np.concatenate([vg.reshape(fv.shape), ig.reshape(fr.shape)], axis=1)
-        grads.append((local, cfg.lambda_inter * g_inter))
+        buf.add_rows(samples, cfg.lambda_inter * g_inter.reshape(-1, dim))
 
-    buf = GradientBuffer.zeros(rows_v.size + rows_r.size, dim)
-    buf.add_rows(
-        np.concatenate([i.ravel() for i, _ in grads]), np.concatenate([g.reshape(-1, dim) for _, g in grads])
-    )
-    trainable.apply_step(buf.g[: rows_v.size], buf.g[rows_v.size :], rows_v, rows_r, at=(at_v, at_r))
+    batches.ran[now] = True  # a step that raises has still been taken
+    trainable.apply_step(buf.g[:split], buf.g[split:], rows_v, rows_r, at=(at_v, at_r))
     return np.stack([l_v, l_r, l_vr, l_intra, l_inter], axis=1)
+
+
+def _run_levels(
+    trainable: TrainableEmbeddings, state: EpochState, cfg: PipelineConfig, batches: _Batches, todo: np.ndarray
+) -> None:
+    """Step the batches ``todo`` (ascending, and closed under sharing a row
+    with an earlier batch that has not run) one level at a time.
+
+    A divergence at step s is raised only after every batch below s that
+    has not run yet has run: those share no row with any batch already run
+    at s or later, so the error raised is the earliest one of the
+    sequential order, with the same message."""
+    for level in np.unique(batches.level[todo]):
+        now = todo[batches.level[todo] == level]
+        try:
+            batches.losses[now] = _step_run(trainable, state, cfg, batches, now)
+        except TrainingDivergedError as err:
+            below = np.flatnonzero(~batches.ran[: err.step - batches.first])
+            if below.size:
+                _run_levels(trainable, state, cfg, batches, below)
+            raise
 
 
 def run_epoch(
@@ -530,18 +562,14 @@ def run_epoch(
 ) -> EpochState:
     """One full epoch; with train=False only the analysis/metrics half runs.
 
-    The epoch's PK batches are drawn first, in order, and each maximal run
-    of consecutive batches with pairwise disjoint rows is one stacked step
-    (the module docstring says why that is exact)."""
+    The epoch's PK batches are drawn first, in order, and each dependency
+    level of them is one stacked step (the module docstring says why that
+    is exact)."""
     state = _analyze(trainable, cfg, epoch)
     if not train:
         return state
 
     n_vis, n_inf = len(state.visible), len(state.infrared)
-    terms = (
-        epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0,
-        epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0,
-    )
     n_batches = batches_per_epoch(cfg, n_vis, n_inf)
     draws = [pk_sample(state.labels_v, state.labels_r, cfg, sampler) for _ in range(n_batches)]
     notes: tuple[str, ...] = ()
@@ -550,18 +578,36 @@ def run_epoch(
         notes = (
             f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} (shortfall {shortfall})",
         )
-    first = trainable.steps
-    sums = dict.fromkeys(_LOSS_TERMS, 0.0)
+    vis, inf = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+    rows = np.concatenate([vis, n_vis + inf], axis=1)
+    noise = np.argwhere(state.labels_joint.labels[rows] < 0)
+    if noise.size:
+        # a row labelled in its own modality is labelled in the joint scope,
+        # whose ε-neighbourhoods contain the modality ones
+        b, i = noise[0]
+        side, row = ("visible", vis[b, i]) if i < vis.shape[1] else ("infrared", inf[b, i - vis.shape[1]])
+        raise RuntimeError(f"epoch {epoch}, batch {b + 1}: {side} row {row} was drawn but is noise in the joint scope")
+    batches = _Batches(
+        rows=rows,
+        n_v=vis.shape[1],
+        level=_levels(rows, n_vis + n_inf),
+        first=trainable.steps,
+        terms=(
+            epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0,
+            epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0,
+        ),
+        ran=np.zeros(n_batches, bool),
+        losses=np.empty((n_batches, len(_LOSS_TERMS))),
+    )
     try:
-        for run in _disjoint_runs(draws, n_vis, n_vis + n_inf):
-            vis = np.stack([draws[b][0] for b in run])
-            inf = np.stack([draws[b][1] for b in run])
-            for values in _step_run(trainable, state, cfg, vis, inf, terms):
-                for term, value in zip(_LOSS_TERMS, values):
-                    sums[term] += float(value)
+        _run_levels(trainable, state, cfg, batches, np.arange(n_batches))
     except TrainingDivergedError as err:
-        raise TrainingDivergedError(f"epoch {epoch}, batch {err.step - first + 1}: {err}", err.step) from None
+        raise TrainingDivergedError(f"epoch {epoch}, batch {err.step - batches.first + 1}: {err}", err.step) from None
 
+    sums = dict.fromkeys(_LOSS_TERMS, 0.0)
+    for values in batches.losses:  # in batch order
+        for term, value in zip(_LOSS_TERMS, values):
+            sums[term] += float(value)
     return replace(
         state, losses=_mean_losses(cfg, epoch, sums, n_batches), notes=state.notes + notes
     )

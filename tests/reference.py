@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from memmatch.metrics import RANKS, RetrievalReport
-from memmatch.objective import GradientBuffer, cluster_nce, compose_report, inter_loss, intra_alignment
+from memmatch.objective import cluster_nce, compose_report, inter_loss, intra_alignment
 from memmatch.pipeline import TrainingDivergedError, batches_per_epoch, pk_sample, run_epoch
 
 
@@ -395,33 +395,27 @@ def sequential_epoch(trainable, cfg, epoch, sampler):
         except TrainingDivergedError as err:
             raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {err}") from None
         fv, fr = fv[local_v], fr[local_r]
-        buf_v = GradientBuffer.zeros(rows_v.size, fv.shape[1])
-        buf_r = GradientBuffer.zeros(rows_r.size, fr.shape[1])
+        # per modality, each row's terms accumulate in this order, samples in turn
+        buf_v, buf_r = np.zeros((rows_v.size, fv.shape[1])), np.zeros((rows_r.size, fr.shape[1]))
 
         l_v, g_v = cluster_nce(fv, state.labels_v.labels[vis_idx], state.wbank_v, cfg.tau)
-        buf_v.add_rows(local_v, g_v)
+        np.add.at(buf_v, local_v, g_v)
         l_r, g_r = cluster_nce(fr, state.labels_r.labels[inf_idx], state.wbank_r, cfg.tau)
-        buf_r.add_rows(local_r, g_r)
+        np.add.at(buf_r, local_r, g_r)
 
-        jl_v = state.labels_joint.labels[vis_idx]
-        jl_r = state.labels_joint.labels[n_vis + inf_idx]
-        keep_v, keep_r = jl_v >= 0, jl_r >= 0
-        l_vr = 0.0
-        if keep_v.any() or keep_r.any():
-            feats_vr = np.vstack([fv[keep_v], fr[keep_r]])
-            labs_vr = np.concatenate([jl_v[keep_v], jl_r[keep_r]])
-            l_vr, g_vr = cluster_nce(feats_vr, labs_vr, state.wbank_joint, cfg.tau)
-            split = int(keep_v.sum())
-            buf_v.add_rows(local_v[keep_v], g_vr[:split])
-            buf_r.add_rows(local_r[keep_r], g_vr[split:])
+        joint = state.labels_joint.labels
+        labs_vr = np.concatenate([joint[vis_idx], joint[n_vis + inf_idx]])
+        l_vr, g_vr = cluster_nce(np.vstack([fv, fr]), labs_vr, state.wbank_joint, cfg.tau)
+        np.add.at(buf_v, local_v, g_vr[: vis_idx.size])
+        np.add.at(buf_r, local_r, g_vr[vis_idx.size :])
 
         l_intra = 0.0
         if do_intra:
             li_v, gi_v = intra_alignment(fv, state.labels_v.labels[vis_idx], state.wbank_v)
             li_r, gi_r = intra_alignment(fr, state.labels_r.labels[inf_idx], state.wbank_r)
             l_intra = li_v + li_r
-            buf_v.add_rows(local_v, cfg.lambda_intra * gi_v)
-            buf_r.add_rows(local_r, cfg.lambda_intra * gi_r)
+            np.add.at(buf_v, local_v, cfg.lambda_intra * gi_v)
+            np.add.at(buf_r, local_r, cfg.lambda_intra * gi_r)
 
         l_inter = 0.0
         if do_inter:
@@ -430,11 +424,11 @@ def sequential_epoch(trainable, cfg, epoch, sampler):
                 fr.reshape(used.size, cfg.per_id_infrared, -1),
                 cfg.mmd_sigma,
             )
-            buf_v.add_rows(local_v, cfg.lambda_inter * vg.reshape(fv.shape))
-            buf_r.add_rows(local_r, cfg.lambda_inter * ig.reshape(fr.shape))
+            np.add.at(buf_v, local_v, cfg.lambda_inter * vg.reshape(fv.shape))
+            np.add.at(buf_r, local_r, cfg.lambda_inter * ig.reshape(fr.shape))
 
         try:
-            trainable.apply_step(buf_v.g, buf_r.g, rows_v, rows_r)
+            trainable.apply_step(buf_v, buf_r, rows_v, rows_r)
         except TrainingDivergedError as err:
             raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {err}") from None
         for term, value in zip(terms, (l_v, l_r, l_vr, l_intra, l_inter)):

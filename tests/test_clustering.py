@@ -160,6 +160,26 @@ class TestClusterJoint:
             assert np.array_equal(got.labels, ref.labels)
             assert got.cluster_count == ref.cluster_count
 
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.integers(2, 8),
+        st.floats(0.05, 0.6),
+        st.integers(1, 5),
+    )
+    def test_rows_labelled_in_their_modality_are_joint_labelled(self, seed, n_v, n_r, dim, eps, min_samples):
+        # A modality scope reads a diagonal block of the joint matrix, so a
+        # row's joint neighbourhood holds its modality one: a core point
+        # there is a joint core point, and its cluster is joint-labelled.
+        # The training loop relies on this, drawing only labelled rows.
+        rng = np.random.default_rng(seed)
+        vis = make_set(random_points(rng, n_v, dim))
+        inf = make_set(random_points(rng, n_r, dim), modality="r")
+        lv, lr, lj = cluster_joint(vis, inf, self.cfg(eps, min_samples))
+        own = np.concatenate([lv.labels, lr.labels])
+        assert not np.any((own >= 0) & (lj.labels < 0))
+
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @given(
         st.integers(0, 10_000),

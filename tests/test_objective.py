@@ -300,3 +300,23 @@ def test_gradient_buffer_untouched_rows_zero():
     assert np.all(buf.g[[0, 2, 4]] == 0.0)
     assert np.allclose(buf.g[1], 2.0)  # duplicate rows accumulate
     assert np.allclose(buf.g[3], 1.0)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 4), st.booleans())
+def test_gradient_buffer_adds_each_sample_in_turn(seed, n, per_batch, repeats):
+    # both paths, distinct rows and repeated ones, give the bits of adding
+    # the samples one by one onto what earlier terms left
+    rng = np.random.default_rng(seed)
+    if repeats:  # n + 1 draws from n rows, so some row repeats
+        rows = rng.integers(0, n, size=(per_batch, n + 1))
+    else:
+        rows = rng.permutation(n * per_batch).reshape(per_batch, n)
+    size = int(rows.max()) + 1
+    earlier, grad = rng.standard_normal((size, 3)), rng.standard_normal(rows.shape + (3,))
+    buf = GradientBuffer.zeros(size, 3)
+    buf.add_rows(np.arange(size), earlier)
+    buf.add_rows(rows, grad)
+    want = earlier.copy()
+    for row, g in zip(rows.ravel(), grad.reshape(-1, 3)):
+        want[row] = want[row] + g
+    assert buf.g.tobytes() == want.tobytes()

@@ -257,6 +257,43 @@ class TestTrainableEmbeddings:
             assert grouped.velocity[key].tobytes() == in_turn.velocity[key].tobytes()
             assert np.array_equal(grouped._current[key], in_turn._current[key])
 
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
+    def test_disjoint_steps_in_any_order_match_steps_in_turn(self, seed, n_steps, read_first):
+        # a level's steps run before lower-indexed steps of a later level:
+        # steps with pairwise disjoint rows, one call each in a shuffled
+        # order, leave the table and the step counter as taking them in turn
+        rng = np.random.default_rng(seed)
+        n, d = 30, 5
+        vis = EmbeddingSet(features=normalize_rows(rng.standard_normal((n, d))), modality=np.full(n, "v"))
+        inf = EmbeddingSet(features=normalize_rows(rng.standard_normal((n, d))), modality=np.full(n, "r"))
+        in_turn, shuffled = (TrainableEmbeddings(vis, inf, PipelineConfig()) for _ in range(2))
+        warm = [(rng.permutation(n)[:6], rng.permutation(n)[:6], rng.standard_normal((12, d))) for _ in range(3)]
+        for t in (in_turn, shuffled):  # rows at different steps, some stale
+            for rows_v, rows_r, g in warm:
+                t.apply_step(g[:6], g[6:], np.sort(rows_v), np.sort(rows_r))
+        split_v, split_r = (np.array_split(rng.permutation(n)[: 4 * n_steps], n_steps) for _ in range(2))
+        batches = [(np.sort(v), np.sort(r)) for v, r in zip(split_v, split_r)]
+        grads = [(rng.standard_normal((v.size, d)), rng.standard_normal((r.size, d))) for v, r in batches]
+        first = in_turn.steps
+        for (rows_v, rows_r), (g_v, g_r) in zip(batches, grads):
+            if read_first:
+                in_turn.features(rows_v, rows_r)
+            in_turn.apply_step(g_v, g_r, rows_v, rows_r)
+        for k in rng.permutation(n_steps):
+            (rows_v, rows_r), (g_v, g_r) = batches[k], grads[k]
+            at = (np.full(rows_v.size, first + k), np.full(rows_r.size, first + k))
+            if read_first:
+                shuffled.features(rows_v, rows_r, at=at)
+            shuffled.apply_step(g_v, g_r, rows_v, rows_r, at=at)
+        for caught_up in (False, True):
+            if caught_up:  # an epoch start reads every row at the step counter
+                in_turn.sets(), shuffled.sets()
+            assert shuffled.steps == in_turn.steps == first + n_steps
+            for key in ("v", "r"):
+                assert shuffled.params[key].tobytes() == in_turn.params[key].tobytes()
+                assert shuffled.velocity[key].tobytes() == in_turn.velocity[key].tobytes()
+                assert shuffled._current[key].tobytes() == in_turn._current[key].tobytes()
+
     def test_one_call_reports_its_earliest_failing_step(self):
         # rows 2 and 5 both overflow in one call standing for two steps;
         # row 5 takes the earlier one, so taken in turn it fails first
@@ -483,14 +520,15 @@ class Rotation:
 
 
 class TestGroupedEpoch:
-    """``run_epoch`` takes runs of row-disjoint PK batches as one stacked
-    step; features, velocities, step stamps, losses and notes equal those of
-    the per-batch oracle bit for bit."""
+    """``run_epoch`` takes each dependency level of PK batches as one
+    stacked step; features, velocities, step stamps, losses and notes equal
+    those of the per-batch oracle bit for bit."""
 
     def test_joint_noise_rows_in_batches(self, monkeypatch):
         # a row with a label of its own modality is never joint noise (its
-        # joint neighbourhood holds its modality's), so noise is put into
-        # the joint labels here: every third row, unevenly across batches
+        # joint neighbourhood holds its modality's), so the step has no path
+        # for one; noise is put into the joint labels here, every third row,
+        # and the epoch must name the first drawn one before any step
         def joint_with_noise(visible, infrared, cfg):
             labels_v, labels_r, joint = cluster_joint(visible, infrared, cfg)
             labels = joint.labels.copy()
@@ -502,11 +540,18 @@ class TestGroupedEpoch:
         monkeypatch.setattr(pipeline, "cluster_joint", joint_with_noise)
         vis, inf = generate(tiny_spec(outlier_fraction=0.1))
         cfg = tiny_cfg(batch_ids=2, per_id_visible=2, per_id_infrared=2)
-        state = train_both(vis, inf, cfg)[1]
+        trainable = TrainableEmbeddings(vis, inf, cfg)
+        state = run_epoch(trainable, cfg, 1, named_stream(cfg.seed, "sampler"), train=False)
         joint = np.split(state.labels_joint.labels, [len(vis)])
-        draws = first_epoch_draws(state, cfg)
-        kept = {int((joint[0][v] >= 0).sum() + (joint[1][r] >= 0).sum()) for v, r, _, _ in draws}
-        assert len(kept) > 1  # batches of a run stack by their kept count
+        for batch, (v, r, _, _) in enumerate(first_epoch_draws(state, cfg), start=1):
+            noise = [("visible", row) for row in v if joint[0][row] < 0]
+            noise += [("infrared", row) for row in r if joint[1][row] < 0]
+            if noise:
+                break
+        side, row = noise[0]
+        with pytest.raises(RuntimeError, match=f"^epoch 1, batch {batch}: {side} row {row} was drawn but is noise"):
+            run_epoch(trainable, cfg, 1, named_stream(cfg.seed, "sampler"))
+        assert trainable.steps == 0
 
     def test_draws_with_replacement(self):
         vis, inf = generate(tiny_spec())
@@ -529,8 +574,8 @@ class TestGroupedEpoch:
         cfg = tiny_cfg(mmd_sigma=sigma, lambda_intra=intra, inter_start_epoch=inter_start, batch_ids=2)
         train_both(vis, inf, cfg)
 
-    @pytest.mark.parametrize("advance, runs", [(False, 10), (True, 1)], ids=["all-conflict", "none-conflict"])
-    def test_conflict_extremes(self, monkeypatch, advance, runs):
+    @pytest.mark.parametrize("advance, levels", [(False, 10), (True, 1)], ids=["all-conflict", "none-conflict"])
+    def test_conflict_extremes(self, monkeypatch, advance, levels):
         # five clean identities of 8 rows a side; batches of one label, 4 + 4
         # rows: the same rows every batch, or every row once per epoch.  The
         # infrared rows are rolled by half an identity, so no infrared
@@ -552,7 +597,7 @@ class TestGroupedEpoch:
         grouped, state = train_both(vis, inf, cfg, (Rotation(advance), Rotation(advance)))
         assert state.labels_v.cluster_sizes().tolist() == [8] * 5
         assert state.labels_r.cluster_sizes().tolist() == [8] * 5
-        assert sum(c is grouped for c in calls) == runs
+        assert sum(c is grouped for c in calls) == levels
 
     @settings(max_examples=25)
     @given(
@@ -661,15 +706,19 @@ class TestRunTraining:
             tracemalloc.start()
             try:
                 result = run_training(vis, inf, tiny_cfg(epochs=epochs))
-                size, _ = tracemalloc.get_traced_memory()
+                size, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert len(result.history) == epochs
-            return size
+            return size, peak
 
         retained(1)  # first-use allocations inside numpy and the library
-        one, five = retained(1), retained(5)
-        assert five < one + (len(vis) + len(inf)) * vis.dim * 8
+        (one, peak_one), (five, peak_five) = retained(1), retained(5)
+        table = (len(vis) + len(inf)) * vis.dim * 8
+        assert five < one + table
+        # an epoch's state must be freed when the next begins, not only by a
+        # later garbage collection that the retained size would not show
+        assert peak_five < peak_one + table
 
     def test_diverged_step_raises_training_diverged(self):
         vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
@@ -699,7 +748,7 @@ class TestRunTraining:
     )
     def test_diverged_catch_up_report_matches_sequential(self, seed, rig, phase):
         # rows near overflow: caught up over two steps (|1 - lr wd| = 9)
-        # they stop being finite, here in the middle of a run of batches
+        # they stop being finite, here in the middle of a level of batches
         vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
         cfg = PipelineConfig(
             epochs=2, dbscan_eps=0.3, learning_rate=100.0, weight_decay=0.1, seed=seed,
@@ -729,6 +778,27 @@ class TestRunTraining:
             assert re.match(phase, grouped)
             assert grouped == diverged(sequential_epoch, vis, inf, cfg, rig, scale=1e154)
 
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.tuples(st.sampled_from("vr"), st.integers(0, 39)), min_size=1, max_size=4, unique=True),
+        st.sampled_from([1e152, 1e153, 1e154]),
+        st.integers(1, 2),
+        st.booleans(),
+    )
+    def test_diverged_report_matches_sequential_sweep(self, seed, rig, scale, batch_ids, huge_rate):
+        # levels take batches out of index order, so the report must still
+        # name the batch, row and phase the per-batch loop meets first: rows
+        # rigged near overflow fail a catch-up or a step, or every row does
+        # at a huge learning rate
+        vis, inf = generate(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21))
+        rate = dict(learning_rate=1e150, weight_decay=0.5) if huge_rate else dict(learning_rate=100.0, weight_decay=0.1)
+        cfg = PipelineConfig(
+            epochs=2, dbscan_eps=0.3, seed=seed, batch_ids=batch_ids, per_id_visible=2, per_id_infrared=2, **rate
+        )
+        grouped = diverged(run_epoch, vis, inf, cfg, rig, scale, must=False)
+        assert grouped == diverged(sequential_epoch, vis, inf, cfg, rig, scale, must=False)
+
     def test_tags_for_single_memory(self):
         assert "baseline-matching" in config_tags(PipelineConfig(n_memories=1))
         assert config_tags(PipelineConfig()) == ()
@@ -740,18 +810,22 @@ class TestRunTraining:
 
 
 
-def diverged(epoch_fn, vis, inf, cfg, rig=(), scale=1e153):
+def diverged(epoch_fn, vis, inf, cfg, rig=(), scale=1e153, must=True):
     """The message of the TrainingDivergedError that training ``cfg.epochs``
     epochs with ``epoch_fn`` raises, the parameter rows ``rig`` (modality,
-    row) scaled by ``scale`` first."""
+    row) scaled by ``scale`` first; None if none is raised and not ``must``."""
     trainable, sampler = TrainableEmbeddings(vis, inf, cfg), named_stream(cfg.seed, "sampler")
     for key, row in rig:
         trainable.params[key][row] *= scale
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDivergedError) as err:
+        try:
             for epoch in range(1, cfg.epochs + 1):
                 epoch_fn(trainable, cfg, epoch, sampler)
-    return str(err.value)
+        except TrainingDivergedError as err:
+            return str(err)
+    if must:
+        pytest.fail("training did not diverge")
+    return None
 
 
 def same_partition(a, b):
