@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    BLOCK_BYTES as _SWEEP_BLOCK_BYTES,
     JOINT,
     NOISE_LABEL,
     ConfidenceWeights,
@@ -29,10 +30,6 @@ from .model import (
     PseudoLabeling,
 )
 
-# Each row block of the similarity sweep holds at most this many bytes of
-# float64 (at least one row): 2 MiB, below the 4 MiB at which numpy asks the
-# kernel for huge pages, so a block's working set does not set the peak RSS.
-_SWEEP_BLOCK_BYTES = 2 << 20
 _LLOYD_MAX_STEPS = 100
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _SWEEP_BLOCK_BYTES
-from .model import Assignment, MultiMemoryBank, PseudoLabeling
+from .model import BLOCK_BYTES as _SWEEP_BLOCK_BYTES, Assignment, MultiMemoryBank, PseudoLabeling
 
 # Relative error allowed in a GEMM distance before it is recomputed, and the
 # unit roundoff of float64.

@@ -13,14 +13,10 @@ from math import comb
 
 import numpy as np
 
-from .model import NOISE_LABEL, EmbeddingSet, PseudoLabeling
+from .model import BLOCK_BYTES as _EVAL_BLOCK_BYTES, NOISE_LABEL, EmbeddingSet, PseudoLabeling
 
 METRIC_CSV_HEADER = "ari_rgb,ari_ir,ari_all,rank1,rank5,rank10,rank20,map"
 RANKS = (1, 5, 10, 20)
-
-# Each block of query rows holds at most this many bytes of float64
-# similarities (at least one row): 2 MiB, the budget of the clustering sweep.
-_EVAL_BLOCK_BYTES = 2 << 20
 
 
 def _noise_to_singletons(labels: np.ndarray) -> np.ndarray:

@@ -20,6 +20,11 @@ SCOPES = (VISIBLE, INFRARED, JOINT)
 NOISE_LABEL = -1
 UNIT_NORM_TOL = 1e-9
 VARIANCE_FLOOR = 1e-6
+# The budget of every blocked float64 pass (the clustering sweep, k-means,
+# the matching cost, retrieval), at least one row a block: 2 MiB, below the
+# 4 MiB at which numpy asks the kernel for huge pages, so a block's working
+# set does not set the peak RSS.
+BLOCK_BYTES = 2 << 20
 
 
 def _frozen(values, dtype=None) -> np.ndarray:

@@ -9,17 +9,19 @@ normalization).  The only randomness is the PK sampler's, the named stream
 data draws from its own stream, "synth" of SynthSpec.seed.
 
 Batches keep their sequential arithmetic but not their sequential timing.
-The epoch's PK batches are drawn first, in order, and each gets a
-dependency level: one past the highest level of any earlier batch that
-shares a row with it.  Each level is one stacked step, so a batch waits only
-for the batches it shares rows with.  This is exact: labels and memories
-stay fixed for the epoch, so a batch's loss and gradient read only its own
-rows, and an SGD update with momentum and weight decay reads only its row's
-parameters, velocity and gradient.  A row's batches fall in ascending
-levels, so its updates keep their sequential order; each row is caught up
-to its own batch's step index and stepped there, the per-row gradient sums
-keep the sequential order of terms, and the losses are summed in batch
-order.  A divergence is reported as the per-batch loop would meet it first.
+The epoch's PK batches are drawn first, in order, and each gets a dependency
+level: one past the highest level of any earlier batch that shares a joint
+row with it (the row of ``concat_sets(visible, infrared)``, the one
+numbering of batches, gradients and the optimizer's tables).  Each level is
+one stacked step, so a batch waits only for the batches it shares rows with.
+This is exact, bit for bit: labels and memories stay fixed for the epoch, so
+a batch's loss and gradient read only its own rows, and an SGD update with
+momentum and weight decay reads only its row's parameters, velocity and
+gradient.  A row's batches fall in ascending levels, so its updates keep
+their sequential order; each row is caught up to its own batch's step index
+and stepped there, the per-row gradient sums keep the sequential order of
+terms, and the losses are summed in batch order.  A divergence is reported
+as the per-batch loop would meet it first.
 """
 from __future__ import annotations
 
@@ -141,54 +143,47 @@ class EpochSummary:
 
 
 class TrainableEmbeddings:
-    """Free N x d parameters per modality standing in for a feature extractor.
+    """Free parameters standing in for a feature extractor, one per row of
+    ``concat_sets(visible, infrared)``: visible rows first, so infrared row
+    i is joint row ``n_visible + i``.  ``theta``, ``velocity`` and ``stamp``
+    (the step each row is current at) are joint tables, and every read and
+    step addresses them by joint row.
 
     Downstream consumers only ever see the row-normalized view; gradient
     steps go through the normalization's Jacobian, then SGD with momentum mu
     and weight decay lam at learning rate eta on the raw parameters, the
     three fixed from ``cfg`` at construction.
 
-    Parameters, velocities and step stamps live in one joint (N_v + N_r) x d
-    table each, visible rows first, the order of ``concat_sets``;
-    ``params``, ``velocity`` and ``_current`` hold each modality's view of
-    them.  So a batch's read, its step and each check are one pass over the
-    joint rows ``rows_v`` and ``N_v + rows_r``.
-
     A step costs O(batch), not O(N d).  A row the step leaves out has zero
     gradient, so its (theta, v) moves by one fixed linear map:
     theta' = (1 - eta lam) theta - eta mu v and v' = lam theta + mu v, i.e.
-    A = [[1 - eta lam, -eta mu], [lam, mu]].  Each row records the step it
-    is current at and is caught up with A^lag when it is next read, by
-    ``features`` (a batch) or ``sets`` (an epoch start), or stepped.  Rows of
-    ``params`` and ``velocity`` are therefore stale until read.
+    A = [[1 - eta lam, -eta mu], [lam, mu]].  Each row is caught up with
+    A^lag when it is next read, by ``features`` (a batch) or ``sets`` (an
+    epoch start), or stepped, so rows of ``theta`` and ``velocity`` are
+    stale until read.
 
     One read and one ``apply_step`` may stand for several steps whose rows
-    are pairwise disjoint, in any order of their indices: each row then
-    carries the index of the step it belongs to, is caught up to that index
-    and stamped one past it, and ``steps`` becomes one past the largest
-    index taken.  A row's update reads only its own parameters, velocity and
-    gradient, and the catch-up replays exactly the zero-gradient steps in
-    between, so this is the arithmetic of taking the steps one by one, bit
-    for bit (updates with disjoint supports commute).
+    are pairwise disjoint, in any order of their indices: ``at`` gives each
+    row the index of the step it belongs to, the row is caught up to that
+    index and stamped one past it, and ``steps`` becomes one past the
+    largest index taken.  The catch-up replays exactly the zero-gradient
+    steps in between, so this is the arithmetic of taking the steps one by
+    one (the module docstring says why).
 
     A row whose norm stops being finite, after a catch-up or a step, raises
     ``TrainingDivergedError``.  A call checks its catch-ups, then its steps;
-    each check names the row of the lowest step index, visible before
-    infrared, then in the order given, and carries that index as ``step``.
+    each check names the row of the lowest step index, then the first in
+    the order given, by modality and row within it, and carries that index
+    as ``step``.
     """
 
     def __init__(self, visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig):
         self.n_visible = len(visible)
-        self._theta = np.concatenate([visible.features, infrared.features])
-        self._velocity = np.zeros_like(self._theta)
-        self._stamp = np.zeros(len(self._theta), np.int64)
-        self.params, self.velocity, self._current = (
-            {"v": table[: self.n_visible], "r": table[self.n_visible :]}
-            for table in (self._theta, self._velocity, self._stamp)
-        )
+        self.theta = np.concatenate([visible.features, infrared.features])
+        self.velocity = np.zeros_like(self.theta)
+        self.stamp = np.zeros(len(self.theta), np.int64)
         # read-only arrays, shared with the inputs and every set ``sets`` makes
-        self.modality = {"v": visible.modality, "r": infrared.modality}
-        self.truth = {"v": visible.true_identity, "r": infrared.true_identity}
+        self._tags = [(es.modality, es.true_identity) for es in (visible, infrared)]
         lr, mu, lam = cfg.learning_rate, cfg.momentum, cfg.weight_decay
         self.learning_rate, self.momentum, self.weight_decay = lr, mu, lam
         self.steps = 0
@@ -205,14 +200,6 @@ class TrainableEmbeddings:
                 grown[k] = self._map @ grown[k - 1]
             self._powers = grown
         return self._powers[lag]
-
-    def _joint(
-        self, rows_v: np.ndarray, rows_r: np.ndarray, at: tuple[np.ndarray, np.ndarray] | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The joint rows of ``rows_v`` and ``rows_r`` and their step indices
-        (default: the current step)."""
-        rows = np.concatenate([rows_v, self.n_visible + np.asarray(rows_r)])
-        return rows, np.full(rows.shape, self.steps) if at is None else np.concatenate(at)
 
     def _check(self, rows: np.ndarray, at: np.ndarray, theta: np.ndarray, after: str) -> None:
         """Raise for the earliest non-finite joint row of ``rows``, whose
@@ -232,46 +219,35 @@ class TrainableEmbeddings:
     def _catch_up(self, rows: np.ndarray, at: np.ndarray) -> None:
         """Bring the joint ``rows`` to their step indices ``at`` and check
         those that moved."""
-        lag = at - self._stamp[rows]
+        lag = at - self.stamp[rows]
         stale = np.flatnonzero(lag > 0)
         if not stale.size:
             return
         rows, at = rows[stale], at[stale]
         a = self._power(lag[stale])[..., None]
-        theta, vel = self._theta[rows], self._velocity[rows]
+        theta, vel = self.theta[rows], self.velocity[rows]
         caught_up = a[:, 0, 0] * theta + a[:, 0, 1] * vel
-        self._theta[rows] = caught_up
-        self._velocity[rows] = a[:, 1, 0] * theta + a[:, 1, 1] * vel
-        self._stamp[rows] = at
+        self.theta[rows] = caught_up
+        self.velocity[rows] = a[:, 1, 0] * theta + a[:, 1, 1] * vel
+        self.stamp[rows] = at
         self._check(rows, at, caught_up, "catch-up")
 
-    def features(
-        self, rows_v: np.ndarray, rows_r: np.ndarray, at: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-normalized parameters of the visible ``rows_v`` and infrared
-        ``rows_r``, each caught up to its step index in ``at`` (default: the
-        current step)."""
-        rows, at_joint = self._joint(rows_v, rows_r, at)
-        self._catch_up(rows, at_joint)
-        features = normalize_rows(self._theta[rows])
-        return features[: len(rows_v)], features[len(rows_v) :]
+    def features(self, rows: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+        """Row-normalized parameters of the joint ``rows``, each caught up to
+        its step index in ``at`` (default: the current step)."""
+        self._catch_up(rows, np.full(rows.shape, self.steps) if at is None else at)
+        return normalize_rows(self.theta[rows])
 
     def sets(self) -> tuple[EmbeddingSet, EmbeddingSet]:
+        bounds = (0, self.n_visible, len(self.theta))
         out = []
-        for key, first in (("v", 0), ("r", self.n_visible)):
+        for first, stop, (modality, truth) in zip(bounds, bounds[1:], self._tags):
             # a modality at a time: the catch-up's temporaries stay the size
             # of one modality's table, which keeps the run's peak memory
-            rows = first + np.arange(len(self.params[key]))
-            self._catch_up(rows, np.full(rows.size, self.steps))
-            features = normalize_rows(self.params[key])
+            self._catch_up(np.arange(first, stop), np.full(stop - first, self.steps))
+            features = normalize_rows(self.theta[first:stop])
             features.setflags(write=False)  # so the set adopts it without a copy
-            out.append(
-                EmbeddingSet(
-                    features=features,
-                    modality=self.modality[key],
-                    true_identity=self.truth[key],
-                )
-            )
+            out.append(EmbeddingSet(features=features, modality=modality, true_identity=truth))
         return out[0], out[1]
 
     def apply_step(
@@ -280,31 +256,35 @@ class TrainableEmbeddings:
         grad_r: np.ndarray,
         rows_v: np.ndarray,
         rows_r: np.ndarray,
-        at: tuple[np.ndarray, np.ndarray] | None = None,
+        at: np.ndarray | None = None,
     ) -> None:
         """One SGD step.  ``grad_v[i]`` is the gradient w.r.t. the normalized
-        view of the distinct visible row ``rows_v[i]`` (likewise infrared);
-        every other row has zero gradient and is caught up when read.
+        view of the distinct visible row ``rows_v[i]`` (likewise infrared, by
+        row within the infrared set); every other row has zero gradient and
+        is caught up when read.
 
-        ``at`` gives each row the index of the step it takes (default: all
-        the current step).  The call then stands for those steps, and rows
-        of different steps must be disjoint."""
-        rows, at_joint = self._joint(rows_v, rows_r, at)
-        self._catch_up(rows, at_joint)
+        ``at`` gives each joint row, visible then infrared, the index of the
+        step it takes (default: all the current step).  The call then stands
+        for those steps, and rows of different steps must be disjoint."""
+        # split by modality because the benchmark's step hook reads grad_v and grad_r by position
+        rows = np.concatenate([rows_v, self.n_visible + np.asarray(rows_r)])
+        at_rows = np.full(rows.shape, self.steps) if at is None else at
+        self._catch_up(rows, at_rows)
         grad = np.concatenate([grad_v, grad_r])
-        theta = self._theta[rows]
+        theta = self.theta[rows]
         norms = np.maximum(np.linalg.norm(theta, axis=1, keepdims=True), 1e-12)
         unit = theta / norms
         # d(theta/|theta|)/dtheta applied to the normalized-view gradient
         g_theta = (grad - (grad * unit).sum(axis=1, keepdims=True) * unit) / norms
         g_theta = g_theta + self.weight_decay * theta
-        velocity = self.momentum * self._velocity[rows] + g_theta
-        self._velocity[rows] = velocity
+        velocity = self.momentum * self.velocity[rows] + g_theta
+        self.velocity[rows] = velocity
         stepped = theta - self.learning_rate * velocity
-        self._theta[rows] = stepped
-        self._stamp[rows] = at_joint + 1
-        self._check(rows, at_joint, stepped, "a step")
-        self.steps = max(self.steps, 1 + (self.steps if at is None else int(at_joint.max(initial=-1))))
+        self.theta[rows] = stepped
+        self.stamp[rows] = at_rows + 1
+        self._check(rows, at_rows, stepped, "a step")
+        # a call without ``at`` takes the current step even when it touches no row
+        self.steps = max(self.steps + (at is None), 1 + int(at_rows.max(initial=-1)))
 
 
 def pk_sample(
@@ -484,18 +464,16 @@ def _step_run(
     """One SGD step for each of the pairwise row-disjoint batches ``now``,
     taken as one stacked step at each batch's own step index.  Returns their
     (len(now), 5) loss terms; they count as run once the read has passed."""
-    n_v, n_vis, dim = batches.n_v, trainable.n_visible, trainable.params["v"].shape[1]
+    n_v, n_vis, dim = batches.n_v, trainable.n_visible, trainable.theta.shape[1]
     sampled = batches.rows[now]
-    # gradients are kept per distinct joint row, visible rows first:
-    # local[b, i] is the buffer row of sample sampled[b, i]
+    # gradients are kept per distinct joint row: local[b, i] is the buffer
+    # row of sample sampled[b, i]
     rows, local = np.unique(sampled, return_inverse=True)
     local = local.reshape(sampled.shape)
     at = np.empty(rows.size, np.int64)
     at[local] = batches.first + now[:, None]
     samples = local.ravel()
-    split = int(np.searchsorted(rows, n_vis))
-    rows_v, rows_r, at_v, at_r = rows[:split], rows[split:] - n_vis, at[:split], at[split:]
-    feats = np.concatenate(trainable.features(rows_v, rows_r, at=(at_v, at_r)))[local]
+    feats = trainable.features(rows, at)[local]
     fv, fr = feats[:, :n_v], feats[:, n_v:]
 
     # each sample's terms are added in the sequential order, nce first
@@ -528,7 +506,8 @@ def _step_run(
         buf.add_rows(samples, cfg.lambda_inter * g_inter.reshape(-1, dim))
 
     batches.ran[now] = True  # a step that raises has still been taken
-    trainable.apply_step(buf.g[:split], buf.g[split:], rows_v, rows_r, at=(at_v, at_r))
+    split = int(np.searchsorted(rows, n_vis))  # unique's rows are sorted, visible first
+    trainable.apply_step(buf.g[:split], buf.g[split:], rows[:split], rows[split:] - n_vis, at)
     return np.stack([l_v, l_r, l_vr, l_intra, l_inter], axis=1)
 
 
@@ -639,8 +618,9 @@ def run_training(
 
     epochs=0 degenerates to a pure evaluation of the initial embeddings.
     Invalid inputs raise ValueError before any work: a config that fails
-    ``cfg.validate()``, an embedding set that fails ``validate``, or a set
-    with a row not tagged with its own modality (swapped inputs).
+    ``cfg.validate()``, an embedding set that fails ``validate``, a set
+    with a row not tagged with its own modality (swapped inputs), or sets
+    of different feature dimensions.
     """
     problems = cfg.validate()
     if problems:
@@ -655,6 +635,10 @@ def run_training(
         if wrong.size:
             row, found = wrong[0], str(embedding_set.modality[wrong[0]])
             raise ValueError(f"invalid {name} set: row {row} has modality tag {found!r}, expected {tag!r}")
+    if infrared.dim != visible.dim:
+        raise ValueError(
+            f"invalid infrared set: feature dimension {infrared.dim} differs from the visible set's {visible.dim}"
+        )
     trainable = TrainableEmbeddings(visible, infrared, cfg)
     sampler = named_stream(cfg.seed, "sampler")
     history = tuple(

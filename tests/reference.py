@@ -391,10 +391,10 @@ def sequential_epoch(trainable, cfg, epoch, sampler):
         rows_v, local_v = np.unique(vis_idx, return_inverse=True)
         rows_r, local_r = np.unique(inf_idx, return_inverse=True)
         try:
-            fv, fr = trainable.features(rows_v, rows_r)
+            feats = trainable.features(np.concatenate([rows_v, n_vis + rows_r]))
         except TrainingDivergedError as err:
             raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {err}") from None
-        fv, fr = fv[local_v], fr[local_r]
+        fv, fr = feats[local_v], feats[rows_v.size + local_r]
         # per modality, each row's terms accumulate in this order, samples in turn
         buf_v, buf_r = np.zeros((rows_v.size, fv.shape[1])), np.zeros((rows_r.size, fr.shape[1]))
 

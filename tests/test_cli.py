@@ -279,6 +279,21 @@ def test_train_swapped_modalities_exit_2(data_dir, tmp_path, capsys):
     assert "visible set: row 0 has modality tag 'r'" in capsys.readouterr().err
 
 
+def test_train_mismatched_feature_dimensions_exit_2(data_dir, tmp_path, capsys):
+    spec = tmp_path / "spec13.txt"
+    spec.write_text(small_spec_text(dim=13))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "data13")]) == 0
+    args = [
+        "train",
+        "--visible", str(data_dir / "visible.emb"),
+        "--infrared", str(tmp_path / "data13" / "infrared.emb"),
+        "--out", str(tmp_path / "x"),
+        *FAST_CFG,
+    ]
+    assert main(args) == 2
+    assert "infrared set: feature dimension 13 differs from the visible set's 12" in capsys.readouterr().err
+
+
 def test_train_bad_dimension_header_exit_2(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.emb"
     bad.write_text("d=-1\nv\n")

@@ -158,7 +158,7 @@ class TestTrainableEmbeddings:
         rng = np.random.default_rng(0)
         vis, inf = generate(tiny_spec())
         t = TrainableEmbeddings(vis, inf, PipelineConfig())
-        t.params["v"] *= 3.0  # denormalize raw parameters
+        t.theta[: len(vis)] *= 3.0  # denormalize raw parameters
         out_v, _ = t.sets()
         assert np.allclose(np.linalg.norm(out_v.features, axis=1), 1.0, atol=1e-12)
 
@@ -167,25 +167,25 @@ class TestTrainableEmbeddings:
         vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=3))
         cfg = PipelineConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0)
         t = TrainableEmbeddings(vis, inf, cfg)
-        t.params["v"] *= 1.7  # make the normalization non-trivial
-        theta0 = t.params["v"].copy()
+        t.theta[: len(vis)] *= 1.7  # make the normalization non-trivial
+        theta0 = t.theta[: len(vis)].copy()
         a = rng.standard_normal(theta0.shape)
 
         def toy_loss(theta):
             return float((normalize_rows(theta) * a).sum())
 
         numeric = finite_difference(toy_loss, theta0.copy())
-        t.apply_step(a, np.zeros_like(t.params["r"]), np.arange(len(vis)), np.arange(len(inf)))
-        taken_step = theta0 - t.params["v"]
+        t.apply_step(a, np.zeros((len(inf), inf.dim)), np.arange(len(vis)), np.arange(len(inf)))
+        taken_step = theta0 - t.theta[: len(vis)]
         assert np.abs(taken_step - numeric).max() <= 1e-6
 
     def test_weight_decay_on_raw_parameters(self):
         vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=3))
         cfg = PipelineConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.1)
         t = TrainableEmbeddings(vis, inf, cfg)
-        theta0 = t.params["v"].copy()
-        t.apply_step(np.zeros_like(theta0), np.zeros_like(t.params["r"]), np.arange(len(vis)), np.arange(len(inf)))
-        assert np.allclose(t.params["v"], theta0 * (1 - 0.5 * 0.1))
+        theta0 = t.theta[: len(vis)].copy()
+        t.apply_step(np.zeros_like(theta0), np.zeros((len(inf), inf.dim)), np.arange(len(vis)), np.arange(len(inf)))
+        assert np.allclose(t.theta[: len(vis)], theta0 * (1 - 0.5 * 0.1))
 
 
     @pytest.mark.parametrize("overrides", [{"momentum": 0.0}, {}], ids=["momentum0", "defaults"])
@@ -209,17 +209,17 @@ class TestTrainableEmbeddings:
                 grads[key] = (rows, buf.g)
                 steps[key].append((rows, buf.g.copy()))
             if step % 3 == 0:  # read the batch first, as the training loop does
-                t.features(grads["v"][0], grads["r"][0])
+                t.features(np.concatenate([grads["v"][0], n_v + grads["r"][0]]))
             t.apply_step(grads["v"][1], grads["r"][1], grads["v"][0], grads["r"][0])
             if step % 250 == 0:  # an epoch start reads every row
                 t.sets()
         t.sets()
-        for key, theta0 in (("v", vis.features), ("r", inf.features)):
+        for key, theta0, part in (("v", vis.features, slice(None, n_v)), ("r", inf.features, slice(n_v, None))):
             theta, velocity = dense_sgd_replay(
                 theta0, steps[key], cfg.learning_rate, cfg.momentum, cfg.weight_decay
             )
-            assert np.abs(t.params[key] - theta).max() <= 1e-10 * np.abs(theta).max()
-            assert np.abs(t.velocity[key] - velocity).max() <= 1e-10 * np.abs(velocity).max()
+            assert np.abs(t.theta[part] - theta).max() <= 1e-10 * np.abs(theta).max()
+            assert np.abs(t.velocity[part] - velocity).max() <= 1e-10 * np.abs(velocity).max()
 
     @given(st.integers(0, 10_000), st.integers(1, 5), st.booleans())
     def test_one_call_for_disjoint_steps_matches_steps_in_turn(self, seed, n_steps, read_first):
@@ -239,23 +239,21 @@ class TestTrainableEmbeddings:
         grads = [(rng.standard_normal((v.size, d)), rng.standard_normal((r.size, d))) for v, r in batches]
         for (rows_v, rows_r), (g_v, g_r) in zip(batches, grads):
             if read_first:
-                in_turn.features(rows_v, rows_r)
+                in_turn.features(np.concatenate([rows_v, n + rows_r]))
             in_turn.apply_step(g_v, g_r, rows_v, rows_r)
         rows_v, rows_r = (np.concatenate([b[i] for b in batches]) for i in (0, 1))
-        at_v, at_r = (
-            np.concatenate([np.full(b[i].size, grouped.steps + k) for k, b in enumerate(batches)]) for i in (0, 1)
+        at = np.concatenate(
+            [np.full(b[i].size, grouped.steps + k) for i in (0, 1) for k, b in enumerate(batches)]
         )
         if read_first:
-            grouped.features(rows_v, rows_r, at=(at_v, at_r))
+            grouped.features(np.concatenate([rows_v, n + rows_r]), at)
         grouped.apply_step(
-            np.concatenate([g[0] for g in grads]), np.concatenate([g[1] for g in grads]),
-            rows_v, rows_r, at=(at_v, at_r),
+            np.concatenate([g[0] for g in grads]), np.concatenate([g[1] for g in grads]), rows_v, rows_r, at=at
         )
         assert grouped.steps == in_turn.steps
-        for key in ("v", "r"):
-            assert grouped.params[key].tobytes() == in_turn.params[key].tobytes()
-            assert grouped.velocity[key].tobytes() == in_turn.velocity[key].tobytes()
-            assert np.array_equal(grouped._current[key], in_turn._current[key])
+        assert grouped.theta.tobytes() == in_turn.theta.tobytes()
+        assert grouped.velocity.tobytes() == in_turn.velocity.tobytes()
+        assert np.array_equal(grouped.stamp, in_turn.stamp)
 
     @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
     def test_disjoint_steps_in_any_order_match_steps_in_turn(self, seed, n_steps, read_first):
@@ -277,36 +275,35 @@ class TestTrainableEmbeddings:
         first = in_turn.steps
         for (rows_v, rows_r), (g_v, g_r) in zip(batches, grads):
             if read_first:
-                in_turn.features(rows_v, rows_r)
+                in_turn.features(np.concatenate([rows_v, n + rows_r]))
             in_turn.apply_step(g_v, g_r, rows_v, rows_r)
         for k in rng.permutation(n_steps):
             (rows_v, rows_r), (g_v, g_r) = batches[k], grads[k]
-            at = (np.full(rows_v.size, first + k), np.full(rows_r.size, first + k))
+            at = np.full(rows_v.size + rows_r.size, first + k)
             if read_first:
-                shuffled.features(rows_v, rows_r, at=at)
+                shuffled.features(np.concatenate([rows_v, n + rows_r]), at)
             shuffled.apply_step(g_v, g_r, rows_v, rows_r, at=at)
         for caught_up in (False, True):
             if caught_up:  # an epoch start reads every row at the step counter
                 in_turn.sets(), shuffled.sets()
             assert shuffled.steps == in_turn.steps == first + n_steps
-            for key in ("v", "r"):
-                assert shuffled.params[key].tobytes() == in_turn.params[key].tobytes()
-                assert shuffled.velocity[key].tobytes() == in_turn.velocity[key].tobytes()
-                assert shuffled._current[key].tobytes() == in_turn._current[key].tobytes()
+            assert shuffled.theta.tobytes() == in_turn.theta.tobytes()
+            assert shuffled.velocity.tobytes() == in_turn.velocity.tobytes()
+            assert shuffled.stamp.tobytes() == in_turn.stamp.tobytes()
 
     def test_one_call_reports_its_earliest_failing_step(self):
         # rows 2 and 5 both overflow in one call standing for two steps;
         # row 5 takes the earlier one, so taken in turn it fails first
         vis, inf = generate(tiny_spec(identities=2, samples_per_identity_per_modality=4))
         t = TrainableEmbeddings(vis, inf, PipelineConfig(learning_rate=100.0, weight_decay=0.1))
-        t.params["v"][2] *= 1e153  # one catch-up (x 9) stays finite, the step does not
-        t.params["v"][5] *= 1e154
+        t.theta[2] *= 1e153  # visible rows; one catch-up (x 9) stays finite, the step does not
+        t.theta[5] *= 1e154
         no_rows = np.empty(0, np.int64)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="modality 'v' row 5 .* after a step") as err:
                 t.apply_step(
                     np.zeros((2, vis.dim)), np.zeros((0, vis.dim)), np.array([2, 5]), no_rows,
-                    at=(np.array([1, 0]), no_rows),
+                    at=np.array([1, 0]),
                 )
         assert err.value.step == 0
 
@@ -318,7 +315,7 @@ class TestTrainableEmbeddings:
             t.apply_step(no_grad, no_grad, no_rows, no_rows)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="modality 'v' row 3 .* after catch-up"):
-                t.features(np.array([3, 4]), no_rows)
+                t.features(np.array([3, 4]))
 
     def test_small_step_allocates_less_than_one_parameter_matrix(self):
         n, d = 200_000, 64
@@ -462,8 +459,8 @@ class TestRunEpoch:
         theta_v, theta_r = vis.features[rows_v].copy(), inf.features[rows_r].copy()
         numeric_v = finite_difference(lambda th: batch_loss(th, theta_r, ("visible",)), theta_v.copy())
         numeric_r = finite_difference(lambda th: batch_loss(theta_v, th, ("infrared",)), theta_r.copy())
-        assert gradient_gap(theta_v - t.params["v"][rows_v], numeric_v) <= 1e-4
-        assert gradient_gap(theta_r - t.params["r"][rows_r], numeric_r) <= 1e-4
+        assert gradient_gap(theta_v - t.theta[rows_v], numeric_v) <= 1e-4
+        assert gradient_gap(theta_r - t.theta[len(vis) + rows_r], numeric_r) <= 1e-4
 
     def test_collapse_raises_diagnostic(self):
         rng = np.random.default_rng(0)
@@ -489,10 +486,9 @@ def train_both(vis, inf, cfg, samplers=None):
         assert repr(states[-1].losses) == repr(want.losses)  # repr tells -0.0 from 0.0
         assert states[-1].notes == want.notes
     assert grouped.steps == oracle.steps
-    for key in ("v", "r"):
-        assert grouped.params[key].tobytes() == oracle.params[key].tobytes()
-        assert grouped.velocity[key].tobytes() == oracle.velocity[key].tobytes()
-        assert np.array_equal(grouped._current[key], oracle._current[key])
+    assert grouped.theta.tobytes() == oracle.theta.tobytes()
+    assert grouped.velocity.tobytes() == oracle.velocity.tobytes()
+    assert np.array_equal(grouped.stamp, oracle.stamp)
     return grouped, states[0]
 
 
@@ -599,6 +595,31 @@ class TestGroupedEpoch:
         assert state.labels_r.cluster_sizes().tolist() == [8] * 5
         assert sum(c is grouped for c in calls) == levels
 
+    def test_step_gradients_hold_every_drawn_row(self, monkeypatch):
+        # the benchmark's step hook reads apply_step's first two positional
+        # arguments, grad_v and grad_r, one row per distinct row stepped: on
+        # draws without a repeat they add up to the rows pk_sample drew
+        vis, inf = generate(tiny_spec())
+        cfg = tiny_cfg(batch_ids=2, per_id_visible=2, per_id_infrared=2)
+        drawn, stepped = [], []
+        sample, step = pipeline.pk_sample, TrainableEmbeddings.apply_step
+
+        def counted_sample(*args, **kwargs):
+            vis_idx, inf_idx, used, shortfall = sample(*args, **kwargs)
+            assert np.unique(vis_idx).size == vis_idx.size and np.unique(inf_idx).size == inf_idx.size
+            drawn.append(vis_idx.size + inf_idx.size)
+            return vis_idx, inf_idx, used, shortfall
+
+        def counted_step(self, grad_v, grad_r, *args, **kwargs):
+            stepped.append(grad_v.shape[0] + grad_r.shape[0])
+            return step(self, grad_v, grad_r, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "pk_sample", counted_sample)
+        monkeypatch.setattr(TrainableEmbeddings, "apply_step", counted_step)
+        run_training(vis, inf, cfg)
+        assert len(stepped) < len(drawn)  # stacked steps
+        assert sum(stepped) == sum(drawn) > 0
+
     @settings(max_examples=25)
     @given(
         st.integers(3, 6),
@@ -642,6 +663,13 @@ class TestRunTraining:
         mixed = EmbeddingSet(features=inf.features, modality=tags, true_identity=inf.true_identity)
         with pytest.raises(ValueError, match="infrared set: row 5 has modality tag 'v', expected 'r'"):
             run_training(vis, mixed, tiny_cfg(epochs=1))
+
+    def test_mismatched_feature_dimensions_rejected(self):
+        vis, _ = generate(tiny_spec(dim=16))
+        _, inf = generate(tiny_spec(dim=17))
+        message = "^invalid infrared set: feature dimension 17 differs from the visible set's 16$"
+        with pytest.raises(ValueError, match=message):
+            run_training(vis, inf, tiny_cfg(epochs=1))
 
     def test_deterministic_given_seed(self):
         vis, inf = generate(tiny_spec())
@@ -816,7 +844,7 @@ def diverged(epoch_fn, vis, inf, cfg, rig=(), scale=1e153, must=True):
     row) scaled by ``scale`` first; None if none is raised and not ``must``."""
     trainable, sampler = TrainableEmbeddings(vis, inf, cfg), named_stream(cfg.seed, "sampler")
     for key, row in rig:
-        trainable.params[key][row] *= scale
+        trainable.theta[row if key == "v" else len(vis) + row] *= scale
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for epoch in range(1, cfg.epochs + 1):
