@@ -1,5 +1,11 @@
 """Command line entry point: generate / train / eval / ari / sweep.
 
+This module writes every run output: ``train --out``'s history.csv,
+metrics.csv, report.json, final embeddings, assignment.csv and
+confidence_*.csv, ``eval``'s eval.csv, ``sweep``'s sweep.csv, and the
+tables on stdout.  The library modules only compute; the formats read back
+in (embeddings, configs, specs) live in ``dataio``.
+
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 runtime diagnostic (e.g. clustering collapse).
 """
@@ -8,11 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
-from . import dataio, matching, metrics, objective, pipeline, reliability, synth
-from .model import CONFIG_FIELDS, EmbeddingSet, PipelineConfig, validate
+from . import dataio, pipeline, synth
+from .metrics import RANKS
+from .model import CONFIG_FIELDS, Assignment, ConfidenceWeights, EmbeddingSet, PipelineConfig
+from .objective import LossReport
+from .reliability import IdLossVector
+
+LOSS_COLUMNS = tuple(f.name for f in fields(LossReport))
+METRIC_COLUMNS = ("ari_rgb", "ari_ir", "ari_all", *(f"rank{k}" for k in RANKS), "map")
 
 
 class UsageError(Exception):
@@ -79,14 +91,7 @@ def _resolve_config(args) -> PipelineConfig:
 
 
 def _load_sets(args) -> tuple[EmbeddingSet, EmbeddingSet]:
-    out = []
-    for path in (args.visible, args.infrared):
-        es = dataio.read_embeddings(path)
-        problems = validate(es)
-        if problems:
-            raise dataio.DataFormatError(f"{path}: " + "; ".join(problems))
-        out.append(es)
-    return out[0], out[1]
+    return dataio.read_embeddings(args.visible), dataio.read_embeddings(args.infrared)
 
 
 def cmd_generate(args) -> int:
@@ -103,14 +108,45 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _metrics_csv_rows(result: pipeline.TrainingResult) -> str:
-    lines = ["epoch," + metrics.METRIC_CSV_HEADER]
-    for state in result.history:
-        if state.metrics is not None:
-            lines.append(f"{state.epoch}," + state.metrics.csv_row())
-    if result.final.metrics is not None:
-        lines.append("final," + result.final.metrics.csv_row())
-    return "\n".join(lines) + "\n"
+def _floats(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
+def _csv(header, rows) -> str:
+    """A header line, then one line per row; each is a sequence of cells."""
+    return "".join(",".join(line) + "\n" for line in (header, *rows))
+
+
+def _metric_cells(m: pipeline.MetricReport | None) -> list[str]:
+    """One run's ``METRIC_COLUMNS`` cells, blank without ground truth."""
+    if m is None:
+        return [""] * len(METRIC_COLUMNS)
+    r = m.retrieval
+    return _floats((m.ari_rgb, m.ari_ir, m.ari_all, *(r.rank[k] for k in RANKS), r.map))
+
+
+def _history_csv(history) -> str:
+    return _csv(("epoch", *LOSS_COLUMNS), ([str(s.epoch), *_floats(astuple(s.losses))] for s in history))
+
+
+def _metrics_csv(result: pipeline.TrainingResult) -> str:
+    epochs = [(str(s.epoch), s.metrics) for s in result.history] + [("final", result.final.metrics)]
+    return _csv(("epoch", *METRIC_COLUMNS), ([e, *_metric_cells(m)] for e, m in epochs if m is not None))
+
+
+def _assignment_csv(assignment: Assignment) -> str:
+    """The matched pairs as visible,infrared, whichever side was solved as rows."""
+    rows = []
+    for p, pp in assignment.pairs():
+        vis, inf = (pp, p) if assignment.flipped else (p, pp)
+        rows.append((str(vis), str(inf), repr(float(assignment.cost[p, pp]))))
+    return _csv(("visible_cluster", "infrared_cluster", "cost"), rows)
+
+
+def _confidence_csv(losses: IdLossVector, weights: ConfidenceWeights) -> str:
+    """loss,weight of the included (non-noise) samples."""
+    keep = ~losses.excluded
+    return _csv(("loss", "weight"), zip(_floats(losses.losses[keep]), _floats(weights.w[keep])))
 
 
 def _report_dict(result: pipeline.TrainingResult) -> dict:
@@ -134,21 +170,19 @@ def _report_dict(result: pipeline.TrainingResult) -> dict:
 
 
 def _write_training_outputs(result: pipeline.TrainingResult, out: Path) -> None:
-    rows = [objective.LOSS_CSV_HEADER]
-    rows += [objective.loss_csv_row(s.epoch, s.losses) for s in result.history]
-    (out / "history.csv").write_text("\n".join(rows) + "\n")
-    (out / "metrics.csv").write_text(_metrics_csv_rows(result))
+    (out / "history.csv").write_text(_history_csv(result.history))
+    (out / "metrics.csv").write_text(_metrics_csv(result))
     (out / "report.json").write_text(json.dumps(_report_dict(result), indent=2, sort_keys=True) + "\n")
     dataio.write_embeddings(out / "visible_final.emb", result.final.visible)
     dataio.write_embeddings(out / "infrared_final.emb", result.final.infrared)
     if result.final.assignment is not None:
-        (out / "assignment.csv").write_text(matching.assignment_to_csv(result.final.assignment))
+        (out / "assignment.csv").write_text(_assignment_csv(result.final.assignment))
     for name, id_vec, conf in (
         ("v", result.final.id_v, result.final.conf_v),
         ("r", result.final.id_r, result.final.conf_r),
         ("vr", result.final.id_vr, result.final.conf_vr),
     ):
-        (out / f"confidence_{name}.csv").write_text(reliability.confidence_to_csv(id_vec, conf))
+        (out / f"confidence_{name}.csv").write_text(_confidence_csv(id_vec, conf))
 
 
 def _print_metrics(result: pipeline.TrainingResult) -> None:
@@ -162,14 +196,24 @@ def _print_metrics(result: pipeline.TrainingResult) -> None:
     print(f"mAP  {final.retrieval.map:.4f} ({final.retrieval.excluded_queries} queries excluded)")
 
 
+def _out_dir(args, visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig) -> Path | None:
+    """Check the inputs, then make ``--out``: a run rejected for its inputs
+    leaves no directory behind, and a bad ``--out`` fails before any run."""
+    pipeline.check_inputs(visible, infrared, cfg)
+    if not args.out:
+        return None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_train(args) -> int:
     visible, infrared = _load_sets(args)
     cfg = _resolve_config(args)
-    if args.out:  # before the run, so a bad --out fails first
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, visible, infrared, cfg)
     result = pipeline.run_training(visible, infrared, cfg)
-    if args.out:
-        _write_training_outputs(result, Path(args.out))
+    if out:
+        _write_training_outputs(result, out)
         print(f"wrote training outputs to {args.out}")
     if result.tags:
         print("configuration tags: " + ", ".join(result.tags))
@@ -182,15 +226,13 @@ def cmd_eval(args) -> int:
     if visible.true_identity is None or infrared.true_identity is None:
         raise dataio.DataFormatError("evaluation requires ground-truth identities in both files")
     cfg = replace(_resolve_config(args), epochs=0)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, visible, infrared, cfg)
     result = pipeline.run_training(visible, infrared, cfg)
     _print_metrics(result)
-    final = result.final.metrics
-    csv_text = metrics.METRIC_CSV_HEADER + "\n" + final.csv_row() + "\n"
+    csv_text = _csv(METRIC_COLUMNS, [_metric_cells(result.final.metrics)])
     print(csv_text, end="")
-    if args.out:
-        (Path(args.out) / "eval.csv").write_text(csv_text)
+    if out:
+        (out / "eval.csv").write_text(csv_text)
     return 0
 
 
@@ -200,9 +242,7 @@ def cmd_ari(args) -> int:
         raise dataio.DataFormatError("the ARI report requires ground-truth identities in both files")
     cfg = replace(_resolve_config(args), epochs=0)
     result = pipeline.run_training(visible, infrared, cfg)
-    m = result.final.metrics
-    print("ari_rgb,ari_ir,ari_all")
-    print(f"{m.ari_rgb!r},{m.ari_ir!r},{m.ari_all!r}")
+    print(_csv(METRIC_COLUMNS[:3], [_metric_cells(result.final.metrics)[:3]]), end="")
     return 0
 
 
@@ -218,11 +258,10 @@ def cmd_sweep(args) -> int:
         if not values:
             raise UsageError("--values must list at least one value for a config axis")
         runs = [(v, dataio.config_from_entries({args.axis: v}, base)) for v in values]
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-    header = "name," + metrics.METRIC_CSV_HEADER
-    lines = [header]
-    print(header)
+    out = _out_dir(args, visible, infrared, base)
+    header = ("name", *METRIC_COLUMNS)
+    print(",".join(header))
+    rows = []
     failure: Exception | None = None
     for name, cfg in runs:
         try:
@@ -230,12 +269,10 @@ def cmd_sweep(args) -> int:
         except Exception as exc:  # keep partial results, then surface the error
             failure = exc
             break
-        m = result.final.metrics
-        row = f"{name}," + (m.csv_row() if m is not None else "," * 7)
-        lines.append(row)
-        print(row)
-    if args.out:
-        (Path(args.out) / "sweep.csv").write_text("\n".join(lines) + "\n")
+        rows.append((name, *_metric_cells(result.final.metrics)))
+        print(",".join(rows[-1]))
+    if out:
+        (out / "sweep.csv").write_text(_csv(header, rows))
     if failure is not None:
         raise failure
     return 0

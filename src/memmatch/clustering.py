@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    BLOCK_BYTES as _SWEEP_BLOCK_BYTES,
     JOINT,
     NOISE_LABEL,
     ConfidenceWeights,
@@ -28,6 +27,7 @@ from .model import (
     MultiMemoryBank,
     PipelineConfig,
     PseudoLabeling,
+    row_blocks,
 )
 
 _LLOYD_MAX_STEPS = 100
@@ -75,10 +75,10 @@ def _eps_pairs(feats: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     at one block plus the pairs kept.
     """
     n = feats.shape[0]
-    step = max(1, _SWEEP_BLOCK_BYTES // (8 * max(n, 1)))
     left, right = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for a in range(0, n, step):
-        dist = feats[a : a + step] @ feats[a:].T
+    for block in row_blocks(n, n):
+        a = block.start
+        dist = feats[block] @ feats[a:].T
         np.subtract(1.0, dist, out=dist)
         np.clip(dist, 0.0, 2.0, out=dist)
         r, c = np.nonzero(dist <= eps)
@@ -275,7 +275,7 @@ def sub_cluster(embedding_set: EmbeddingSet, labels: PseudoLabeling, n: int) -> 
     order of their k-means cells.  Fully deterministic: the k-means starts
     from a farthest-point initialization, so no seed is taken.  Clusters of
     equal member count m are stacked and clustered together, in groups small
-    enough that a (G, m, k, d) temporary fits in ``_SWEEP_BLOCK_BYTES``.
+    enough that a (G, m, k, d) temporary fits in ``BLOCK_BYTES``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -288,9 +288,8 @@ def sub_cluster(embedding_set: EmbeddingSet, labels: PseudoLabeling, n: int) -> 
     for m in np.unique(sizes):
         k = min(n, int(m))
         same = np.flatnonzero(sizes == m)
-        step = max(1, _SWEEP_BLOCK_BYTES // (8 * int(m) * k * dim))
-        for s in range(0, same.size, step):
-            clusters = same[s : s + step]
+        for block in row_blocks(same.size, int(m) * k * dim):
+            clusters = same[block]
             points = embedding_set.features[np.stack([labels.members(p) for p in clusters])]
             centroids, assign = _kmeans_stacked(points, k)
             counts = (assign[..., None] == np.arange(k)).sum(axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BLOCK_BYTES as _SWEEP_BLOCK_BYTES, Assignment, MultiMemoryBank, PseudoLabeling
+from .model import Assignment, MultiMemoryBank, PseudoLabeling, row_blocks
 
 # Relative error allowed in a GEMM distance before it is recomputed, and the
 # unit roundoff of float64.
@@ -55,7 +55,7 @@ def multi_memory_cost(vis: MultiMemoryBank, inf: MultiMemoryBank) -> CostMatrix:
     distance to the nearest occupied infrared sub-memory.
 
     Visible clusters are taken in blocks whose (visible slot x infrared slot)
-    squared distances fit in ``_SWEEP_BLOCK_BYTES``.  Each block is one GEMM,
+    squared distances fit in ``BLOCK_BYTES``.  Each block is one GEMM,
     ‖a‖² + ‖b‖² − 2a·b clamped at 0, with +inf on empty infrared slots; the
     minimum over each infrared cluster's slots is taken before the square
     root, which is exact because sqrt is monotone.  Each cost is one sum over
@@ -83,10 +83,9 @@ def multi_memory_cost(vis: MultiMemoryBank, inf: MultiMemoryBank) -> CostMatrix:
     gamma = (dim + 2) * _U / (1 - (dim + 2) * _U)
     recheck_below = gamma * (vis_sq + inf_sq[~inf_empty].max()) / _RHO
     inf_sq[inf_empty] = np.inf
-    step = max(1, _SWEEP_BLOCK_BYTES // (8 * n_v * pr * n_r))  # visible clusters per block
     cost = np.empty((pv, pr))
-    for a in range(0, pv, step):
-        rows = slice(a * n_v, min(a + step, pv) * n_v)
+    for block in row_blocks(pv, n_v * pr * n_r):  # blocks of visible clusters
+        rows = slice(block.start * n_v, block.stop * n_v)
         d2 = vis_flat[rows] @ inf_flat.T
         d2 *= -2.0
         d2 += vis_sq[rows, None]
@@ -97,7 +96,7 @@ def multi_memory_cost(vis: MultiMemoryBank, inf: MultiMemoryBank) -> CostMatrix:
         np.sqrt(near, out=near)
         near[slot, q] = _nearest_by_subtraction(vis_flat[rows][slot], inf, q)
         near[~vis_occupied[rows]] = 0.0
-        cost[a : a + step] = near.reshape(-1, n_v, pr).sum(axis=1)
+        cost[block] = near.reshape(-1, n_v, pr).sum(axis=1)
     return CostMatrix(cost)
 
 
@@ -105,12 +104,11 @@ def _nearest_by_subtraction(points: np.ndarray, inf: MultiMemoryBank, clusters: 
     """For each row i, min over the occupied slots of infrared cluster
     ``clusters[i]`` of ``‖points[i] − b‖``, with the norm of the difference."""
     out = np.empty(len(clusters))
-    step = max(1, _SWEEP_BLOCK_BYTES // (8 * inf.memories[0].size))
-    for s in range(0, len(clusters), step):
-        q = clusters[s : s + step]
-        dist = np.linalg.norm(points[s : s + step, None, :] - inf.memories[q], axis=2)
+    for block in row_blocks(len(clusters), inf.memories[0].size):
+        q = clusters[block]
+        dist = np.linalg.norm(points[block, None, :] - inf.memories[q], axis=2)
         dist[inf.occupancy[q] == 0] = np.inf
-        out[s : s + step] = dist.min(axis=1)
+        out[block] = dist.min(axis=1)
     return out
 
 
@@ -200,13 +198,3 @@ def transfer_labels(
     # every column id occupied once, plus one fresh id per unmatched row
     moved = PseudoLabeling(scope=row_labels.scope, labels=labels, cluster_count=n_rows)
     return (vis_labels, moved) if assignment.flipped else (moved, inf_labels)
-
-
-def assignment_to_csv(assignment: Assignment) -> str:
-    """`visible_cluster,infrared_cluster,cost` rows for the matched pairs,
-    whichever side the assignment solved as rows."""
-    lines = ["visible_cluster,infrared_cluster,cost"]
-    for p, pp in assignment.pairs():
-        vis, inf = (pp, p) if assignment.flipped else (p, pp)
-        lines.append(f"{vis},{inf},{float(assignment.cost[p, pp])!r}")
-    return "\n".join(lines) + "\n"

@@ -13,9 +13,8 @@ from math import comb
 
 import numpy as np
 
-from .model import BLOCK_BYTES as _EVAL_BLOCK_BYTES, NOISE_LABEL, EmbeddingSet, PseudoLabeling
+from .model import NOISE_LABEL, EmbeddingSet, PseudoLabeling, row_blocks
 
-METRIC_CSV_HEADER = "ari_rgb,ari_ir,ari_all,rank1,rank5,rank10,rank20,map"
 RANKS = (1, 5, 10, 20)
 
 
@@ -90,11 +89,6 @@ class RetrievalReport:
     valid_queries: int
     excluded_queries: int
 
-    def csv_row(self, ari_triple: tuple[float, float, float]) -> str:
-        rgb, ir, all_ = ari_triple
-        vals = [rgb, ir, all_] + [self.rank[k] for k in RANKS] + [self.map]
-        return ",".join(repr(float(v)) for v in vals)
-
 
 def _positive_ranks(sims: np.ndarray, qi: np.ndarray, gi: np.ndarray) -> np.ndarray:
     """1-based rank of each positive ``(qi, gi)`` when its row of ``sims`` is
@@ -141,7 +135,7 @@ def retrieval_eval(query: EmbeddingSet, gallery: EmbeddingSet) -> RetrievalRepor
     excluded from the averages and counted.  Non-finite features, which
     have no rank, raise ``ValueError``.
 
-    Query rows are taken in blocks of at most ``_EVAL_BLOCK_BYTES`` of
+    Query rows are taken in blocks of at most ``BLOCK_BYTES`` of
     float64 similarities (at least one row), so no query x gallery array
     is ever held whole.
     """
@@ -150,18 +144,17 @@ def retrieval_eval(query: EmbeddingSet, gallery: EmbeddingSet) -> RetrievalRepor
     if not (np.isfinite(query.features).all() and np.isfinite(gallery.features).all()):
         raise ValueError("retrieval evaluation needs finite features")
     n_g = len(gallery)
-    rows = max(1, _EVAL_BLOCK_BYTES // (8 * max(n_g, 1)))
     hits = np.zeros(len(RANKS), np.int64)
     aps = [np.empty(0)]
-    for a in range(0, len(query), rows):
+    for block in row_blocks(len(query), n_g):
         # positives (qi, gi) in row-major order: grouped by query, qi ascending
-        qi, gi = np.nonzero(query.true_identity[a : a + rows, None] == gallery.true_identity)
+        qi, gi = np.nonzero(query.true_identity[block, None] == gallery.true_identity)
         if qi.size == 0:
             continue
         starts = np.flatnonzero(np.diff(qi, prepend=-1))  # each query's first positive
         counts = np.diff(starts, append=qi.size)
         within = np.arange(qi.size) - np.repeat(starts, counts)
-        sims = query.features[a : a + rows] @ gallery.features.T
+        sims = query.features[block] @ gallery.features.T
         ranks = _positive_ranks(sims, qi, gi)
         # one sort of (qi, rank) keys orders the ranks within each query
         key = qi * (n_g + 1)

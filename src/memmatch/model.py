@@ -27,6 +27,13 @@ VARIANCE_FLOOR = 1e-6
 BLOCK_BYTES = 2 << 20
 
 
+def row_blocks(n: int, row_floats: int) -> list[slice]:
+    """Slices covering rows 0..n-1, each as many rows as fit ``BLOCK_BYTES``
+    at ``row_floats`` float64 values a row (at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * max(row_floats, 1)))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def _frozen(values, dtype=None) -> np.ndarray:
     """A read-only array of ``values``.  An ndarray that already has the
     dtype, owns its data and is read-only is adopted without a copy; any

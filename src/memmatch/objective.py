@@ -17,7 +17,6 @@ import numpy as np
 from .model import MemoryBank, NOISE_LABEL
 
 REPORT_TOL = 1e-9
-LOSS_CSV_HEADER = "epoch,l_v,l_r,l_vr,l_cmc,l_intra,l_inter,l_sca,l_overall"
 
 
 @dataclass(frozen=True)
@@ -76,19 +75,10 @@ def compose_report(
     l_inter: float,
     lambda_intra: float,
     lambda_inter: float,
-    epoch: int,
-    intra_start_epoch: int,
-    inter_start_epoch: int,
 ) -> LossReport:
-    """Combine raw loss terms under the epoch schedule.
-
-    Epochs are 1-based; a term contributes (and is reported) only from its
-    start epoch onward, before that it is pinned to 0.
-    """
-    if epoch < intra_start_epoch:
-        l_intra = 0.0
-    if epoch < inter_start_epoch:
-        l_inter = 0.0
+    """Combine raw loss terms into the report: l_cmc = l_v + l_r + l_vr and
+    l_sca = lambda_intra l_intra + lambda_inter l_inter.  The epoch schedule
+    is the caller's: a term not yet started comes in as 0."""
     l_cmc = l_v + l_r + l_vr
     l_sca = lambda_intra * l_intra + lambda_inter * l_inter
     return LossReport(
@@ -101,20 +91,6 @@ def compose_report(
         l_sca=l_sca,
         l_overall=l_cmc + l_sca,
     )
-
-
-def loss_csv_row(epoch: int, report: LossReport) -> str:
-    vals = (
-        report.l_v,
-        report.l_r,
-        report.l_vr,
-        report.l_cmc,
-        report.l_intra,
-        report.l_inter,
-        report.l_sca,
-        report.l_overall,
-    )
-    return f"{epoch}," + ",".join(repr(float(v)) for v in vals)
 
 
 def _per_batch(values: np.ndarray):

@@ -85,9 +85,6 @@ class MetricReport:
     ari_all: float
     retrieval: RetrievalReport
 
-    def csv_row(self) -> str:
-        return self.retrieval.csv_row((self.ari_rgb, self.ari_ir, self.ari_all))
-
 
 @dataclass(frozen=True)
 class EpochState:
@@ -343,15 +340,12 @@ def _weigh(
 _LOSS_TERMS = ("l_v", "l_r", "l_vr", "l_intra", "l_inter")
 
 
-def _mean_losses(cfg: PipelineConfig, epoch: int, sums: dict[str, float], n_batches: int) -> LossReport:
+def _mean_losses(cfg: PipelineConfig, sums: dict[str, float], n_batches: int) -> LossReport:
     denom = max(n_batches, 1)
     return compose_report(
         **{term: total / denom for term, total in sums.items()},
         lambda_intra=cfg.lambda_intra,
         lambda_inter=cfg.lambda_inter,
-        epoch=epoch,
-        intra_start_epoch=cfg.intra_start_epoch,
-        inter_start_epoch=cfg.inter_start_epoch,
     )
 
 
@@ -417,7 +411,7 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
         wbank_v=wbank_v,
         wbank_r=wbank_r,
         wbank_joint=wbank_joint,
-        losses=_mean_losses(cfg, epoch, dict.fromkeys(_LOSS_TERMS, 0.0), 0),
+        losses=_mean_losses(cfg, dict.fromkeys(_LOSS_TERMS, 0.0), 0),
         metrics=_metric_report(visible, infrared, labels_v, labels_r),
         notes=notes,
     )
@@ -571,6 +565,8 @@ def run_epoch(
         n_v=vis.shape[1],
         level=_levels(rows, n_vis + n_inf),
         first=trainable.steps,
+        # the loss schedule: a term before its start epoch (or at weight 0)
+        # is not computed, and reports 0
         terms=(
             epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0,
             epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0,
@@ -587,9 +583,7 @@ def run_epoch(
     for values in batches.losses:  # in batch order
         for term, value in zip(_LOSS_TERMS, values):
             sums[term] += float(value)
-    return replace(
-        state, losses=_mean_losses(cfg, epoch, sums, n_batches), notes=state.notes + notes
-    )
+    return replace(state, losses=_mean_losses(cfg, sums, n_batches), notes=state.notes + notes)
 
 
 @dataclass(frozen=True)
@@ -611,17 +605,11 @@ def config_tags(cfg: PipelineConfig) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def run_training(
-    visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig
-) -> TrainingResult:
-    """Run cfg.epochs epochs then a final evaluation-only pass.
-
-    epochs=0 degenerates to a pure evaluation of the initial embeddings.
-    Invalid inputs raise ValueError before any work: a config that fails
-    ``cfg.validate()``, an embedding set that fails ``validate``, a set
-    with a row not tagged with its own modality (swapped inputs), or sets
-    of different feature dimensions.
-    """
+def check_inputs(visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig) -> None:
+    """Raise ValueError for inputs ``run_training`` cannot take: a config
+    that fails ``cfg.validate()``, an embedding set that fails ``validate``,
+    a set with a row not tagged with its own modality (swapped inputs), or
+    sets of different feature dimensions."""
     problems = cfg.validate()
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
@@ -639,6 +627,17 @@ def run_training(
         raise ValueError(
             f"invalid infrared set: feature dimension {infrared.dim} differs from the visible set's {visible.dim}"
         )
+
+
+def run_training(
+    visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig
+) -> TrainingResult:
+    """Run cfg.epochs epochs then a final evaluation-only pass.
+
+    epochs=0 degenerates to a pure evaluation of the initial embeddings.
+    Invalid inputs raise ValueError before any work (``check_inputs``).
+    """
+    check_inputs(visible, infrared, cfg)
     trainable = TrainableEmbeddings(visible, infrared, cfg)
     sampler = named_stream(cfg.seed, "sampler")
     history = tuple(

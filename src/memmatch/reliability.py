@@ -159,11 +159,3 @@ def uniform_confidence(losses: IdLossVector) -> ConfidenceWeights:
     included sample, 0 for noise."""
     w = np.where(losses.excluded, 0.0, 1.0)
     return ConfidenceWeights(scope=losses.scope, w=w, gmm=None)
-
-
-def confidence_to_csv(losses: IdLossVector, weights: ConfidenceWeights) -> str:
-    """`loss,weight` rows (included samples only) for diagnostics plots."""
-    lines = ["loss,weight"]
-    for i in np.flatnonzero(~losses.excluded):
-        lines.append(f"{float(losses.losses[i])!r},{float(weights.w[i])!r}")
-    return "\n".join(lines) + "\n"

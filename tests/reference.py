@@ -438,8 +438,5 @@ def sequential_epoch(trainable, cfg, epoch, sampler):
         **{term: total / n_batches for term, total in sums.items()},
         lambda_intra=cfg.lambda_intra,
         lambda_inter=cfg.lambda_inter,
-        epoch=epoch,
-        intra_start_epoch=cfg.intra_start_epoch,
-        inter_start_epoch=cfg.inter_start_epoch,
     )
     return replace(state, losses=losses, notes=state.notes + tuple(notes))

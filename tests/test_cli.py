@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 import memmatch
-from memmatch import pipeline
+from memmatch import cli, pipeline
 from memmatch.cli import main
+from memmatch.dataio import write_embeddings
+from memmatch.matching import solve_assignment
+from memmatch.metrics import RetrievalReport
+from memmatch.model import EmbeddingSet
+from memmatch.objective import compose_report
+from memmatch.reliability import IdLossVector, confidence, fit_gmm2
 from memmatch.synth import SynthSpec, spec_to_text
 
 FAST_CFG = [
@@ -101,11 +107,18 @@ def test_train_outputs(data_dir, tmp_path, capsys):
     assert (out / "confidence_v.csv").read_text().startswith("loss,weight")
 
 
+TRAIN_OUTPUTS = [
+    "assignment.csv", "confidence_r.csv", "confidence_v.csv", "confidence_vr.csv", "history.csv",
+    "infrared_final.emb", "metrics.csv", "report.json", "visible_final.emb",
+]
+
+
 def test_train_rerun_byte_identical(data_dir, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(train_args(data_dir, out1)) == 0
     assert main(train_args(data_dir, out2)) == 0
-    for name in ("history.csv", "metrics.csv", "report.json", "visible_final.emb"):
+    assert sorted(p.name for p in out1.iterdir()) == TRAIN_OUTPUTS
+    for name in TRAIN_OUTPUTS:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -294,6 +307,29 @@ def test_train_mismatched_feature_dimensions_exit_2(data_dir, tmp_path, capsys):
     assert "infrared set: feature dimension 13 differs from the visible set's 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+@pytest.mark.parametrize("fault", ["swapped", "dimensions"])
+def test_rejected_inputs_leave_no_out_dir(data_dir, tmp_path, capsys, command, fault):
+    visible, infrared = data_dir / "visible.emb", data_dir / "infrared.emb"
+    if fault == "swapped":
+        visible, infrared = infrared, visible
+        message = "visible set: row 0 has modality tag 'r'"
+    else:
+        spec = tmp_path / "spec13.txt"
+        spec.write_text(small_spec_text(dim=13))
+        assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "data13")]) == 0
+        infrared = tmp_path / "data13" / "infrared.emb"
+        message = "infrared set: feature dimension 13 differs from the visible set's 12"
+    capsys.readouterr()
+    out = tmp_path / "x"
+    extra = ["--axis", "n_memories", "--values", "1"] if command == "sweep" else []
+    args = [command, "--visible", str(visible), "--infrared", str(infrared), "--out", str(out), *extra, *FAST_CFG]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_train_bad_dimension_header_exit_2(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.emb"
     bad.write_text("d=-1\nv\n")
@@ -345,3 +381,67 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_history_csv_row_format():
+    report = compose_report(0.5, 0.25, 0.25, 0.0, 0.0, 0.5, 0.05)
+    summary = pipeline.EpochSummary(epoch=3, losses=report, metrics=None, notes=())
+    lines = cli._history_csv([summary]).split("\n")
+    assert lines[0] == "epoch,l_v,l_r,l_vr,l_cmc,l_intra,l_inter,l_sca,l_overall"
+    assert lines[1].startswith("3,0.5,0.25,0.25,1.0,")
+    assert lines[1:] == ["3,0.5,0.25,0.25,1.0,0.0,0.0,0.0,1.0", ""]
+
+
+def test_metric_csv_row():
+    report = RetrievalReport(rank={1: 0.5, 5: 0.75, 10: 1.0, 20: 1.0}, map=0.8,
+                             valid_queries=4, excluded_queries=0)
+    m = pipeline.MetricReport(ari_rgb=1.0, ari_ir=0.5, ari_all=0.25, retrieval=report)
+    lines = cli._csv(cli.METRIC_COLUMNS, [cli._metric_cells(m), cli._metric_cells(None)]).split("\n")
+    assert lines == ["ari_rgb,ari_ir,ari_all,rank1,rank5,rank10,rank20,map", "1.0,0.5,0.25,0.5,0.75,1.0,1.0,0.8",
+                     ",,,,,,,", ""]
+
+
+def test_assignment_csv_shape():
+    a = solve_assignment(np.array([[0.0, 5.0], [5.0, 0.0], [7.0, 7.0]]))
+    lines = cli._assignment_csv(a).strip().split("\n")
+    assert lines[0] == "visible_cluster,infrared_cluster,cost"
+    assert lines[1] == "0,0,0.0"
+    assert len(lines) == 3
+
+
+def test_assignment_csv_visible_first_when_flipped(tmp_path):
+    # one visible cluster at 90-94 degrees, infrared clusters at 0-4 and
+    # 90-94: matching solves infrared as rows, and infrared cluster 1 pairs
+    # with visible cluster 0
+    def circle_file(name, angles, modality, ids):
+        ang = np.deg2rad(np.asarray(angles, float))
+        es = EmbeddingSet(features=np.stack([np.cos(ang), np.sin(ang)], axis=1),
+                          modality=np.full(len(angles), modality), true_identity=np.asarray(ids))
+        write_embeddings(tmp_path / name, es)
+        return str(tmp_path / name)
+
+    out = tmp_path / "run"
+    args = [
+        "train",
+        "--visible", circle_file("v.emb", [90, 91, 92, 93, 94], "v", [1] * 5),
+        "--infrared", circle_file("r.emb", [0, 1, 2, 3, 4, 90, 91, 92, 93, 94], "r", [0] * 5 + [1] * 5),
+        "--out", str(out),
+        "epochs=1", "dbscan_eps=0.1", "dbscan_min_samples=3", "batch_ids=2",
+        "per_id_visible=2", "per_id_infrared=2", "n_memories=2", "seed=0",
+    ]
+    assert main(args) == 0
+    assert "matching flipped" in (out / "report.json").read_text()
+    lines = (out / "assignment.csv").read_text().strip().split("\n")
+    assert lines[0] == "visible_cluster,infrared_cluster,cost"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "1"]]
+
+
+def test_confidence_csv_export():
+    data = IdLossVector(scope="v", losses=np.array([0.25, 0.75]), excluded=np.zeros(2, bool))
+    fit = fit_gmm2(IdLossVector(scope="v", losses=np.array([0.1] * 5 + [2.0] * 5), excluded=np.zeros(10, bool)))
+    lines = cli._confidence_csv(data, confidence(data, fit)).strip().split("\n")
+    assert lines[0] == "loss,weight"
+    assert len(lines) == 3
+    assert lines[1].startswith("0.25,")
+    noisy = IdLossVector(scope="v", losses=np.array([0.25, 0.0, 0.75]), excluded=np.array([False, True, False]))
+    assert cli._confidence_csv(noisy, confidence(noisy, fit)) == cli._confidence_csv(data, confidence(data, fit))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from memmatch import clustering
+from memmatch import model
 from memmatch.clustering import (
     DistanceMatrix,
     build_memory,
@@ -197,7 +197,7 @@ class TestClusterJoint:
         vis = make_set(random_points(rng, n_v, dim))
         inf = make_set(random_points(rng, n_r, dim), modality="r")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clustering, "_SWEEP_BLOCK_BYTES", rows * 8 * (n_v + n_r))
+            mp.setattr(model, "BLOCK_BYTES", rows * 8 * (n_v + n_r))
             labelings = cluster_joint(vis, inf, self.cfg(eps, min_samples))
         scopes = (vis.features, inf.features, np.vstack([vis.features, inf.features]))
         for got, feats in zip(labelings, scopes):
@@ -395,7 +395,7 @@ class TestSubCluster:
         labels = np.repeat(np.arange(30), 40)
         rng.shuffle(labels)
         feats = random_points(rng, labels.size, 64)
-        assert 30 * 40 * 4 * 64 * 8 > clustering._SWEEP_BLOCK_BYTES
+        assert 30 * 40 * 4 * 64 * 8 > model.BLOCK_BYTES
         bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), 4)
         memories, occupancy = naive_sub_cluster(feats, labels, 4)
         assert np.array_equal(bank.memories, memories)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memmatch import matching
+from memmatch import model
 from memmatch.matching import (
     CostMatrix,
-    assignment_to_csv,
     multi_memory_cost,
     solve_assignment,
     transfer_labels,
@@ -111,7 +110,7 @@ class TestMultiMemoryCost:
         vis = MultiMemoryBank(scope="v", memories=memories, occupancy=occupancy)
         inf = MultiMemoryBank(scope="r", memories=inf_memories, occupancy=inf_occupancy)
         whole = multi_memory_cost(vis, inf).m
-        monkeypatch.setattr(matching, "_SWEEP_BLOCK_BYTES", 8 * 3 * 5 * 2 * clusters_per_block)
+        monkeypatch.setattr(model, "BLOCK_BYTES", 8 * 3 * 5 * 2 * clusters_per_block)
         assert np.array_equal(multi_memory_cost(vis, inf).m, whole)
         expected = naive_multi_memory_cost(memories, occupancy, inf_memories, inf_occupancy)
         np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
@@ -261,15 +260,6 @@ class TestTransferLabels:
         assert inf_out.scope == "r"
         assert inf_out.labels.tolist() == [0, 1, 2, 0, -1, 1]
         assert inf_out.cluster_count == 3  # 2 visible ids plus fresh id 2
-
-
-def test_assignment_csv_shape():
-    a = solve_assignment(np.array([[0.0, 5.0], [5.0, 0.0], [7.0, 7.0]]))
-    text = assignment_to_csv(a)
-    lines = text.strip().split("\n")
-    assert lines[0] == "visible_cluster,infrared_cluster,cost"
-    assert lines[1] == "0,0,0.0"
-    assert len(lines) == 3
 
 
 def test_cost_matrix_validation():

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memmatch import metrics
+from memmatch import model
 from memmatch.metrics import (
     RANKS,
-    RetrievalReport,
     ari,
     ari_fraction,
     ari_report,
@@ -192,7 +191,7 @@ class TestRetrievalEval:
 
         query, gallery = int_set(n_q, 5, "r"), int_set(n_g, 3, "v")  # ids 4, 5: no positive
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "_EVAL_BLOCK_BYTES", rows * 8 * n_g)
+            mp.setattr(model, "BLOCK_BYTES", rows * 8 * n_g)
             try:
                 expected = naive_retrieval_eval(query, gallery)
             except ValueError:
@@ -243,9 +242,3 @@ class TestRetrievalEval:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 3000**2
-
-    def test_csv_row(self):
-        report = RetrievalReport(rank={1: 0.5, 5: 0.75, 10: 1.0, 20: 1.0}, map=0.8,
-                                 valid_queries=4, excluded_queries=0)
-        row = report.csv_row((1.0, 0.5, 0.25))
-        assert row == "1.0,0.5,0.25,0.5,0.75,1.0,1.0,0.8"

@@ -10,7 +10,6 @@ from memmatch.objective import (
     compose_report,
     inter_loss,
     intra_alignment,
-    loss_csv_row,
 )
 from reference import finite_difference, gradient_gap, mmd2_double_loop, naive_inter_loss
 
@@ -268,30 +267,16 @@ class TestComposeReport:
                 l_sca=0.0, l_overall=4.0,
             )
 
-    def test_schedule_zeroes_inter_before_start(self):
-        report = compose_report(
-            l_v=1.0, l_r=1.0, l_vr=1.0, l_intra=2.0, l_inter=9.0,
-            lambda_intra=0.5, lambda_inter=0.05,
-            epoch=1, intra_start_epoch=1, inter_start_epoch=15,
-        )
-        assert report.l_inter == 0.0
-        assert report.l_overall == pytest.approx(3.0 + 0.5 * 2.0)
-
     def test_zero_weights_reduce_to_cmc(self):
-        report = compose_report(1.0, 1.0, 1.0, 5.0, 5.0, 0.0, 0.0, 20, 1, 15)
+        report = compose_report(1.0, 1.0, 1.0, 5.0, 5.0, 0.0, 0.0)
         assert report.l_sca == 0.0
         assert report.l_overall == pytest.approx(report.l_cmc)
 
     def test_published_weights_arithmetic(self):
-        report = compose_report(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.05, 15, 1, 15)
+        report = compose_report(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.05)
         assert report.l_cmc == pytest.approx(3.0)
         assert report.l_sca == pytest.approx(0.55)
         assert report.l_overall == pytest.approx(3.55)
-
-    def test_csv_row_format(self):
-        report = compose_report(0.5, 0.25, 0.25, 0.0, 0.0, 0.5, 0.05, 1, 1, 15)
-        row = loss_csv_row(3, report)
-        assert row.startswith("3,0.5,0.25,0.25,1.0,")
 
 
 def test_gradient_buffer_untouched_rows_zero():

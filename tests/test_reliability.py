@@ -9,7 +9,6 @@ from memmatch.reliability import (
     IdLossVector,
     _em_trace,
     confidence,
-    confidence_to_csv,
     fit_gmm2,
     id_loss,
     uniform_confidence,
@@ -186,12 +185,3 @@ class TestConfidence:
         w = uniform_confidence(data)
         assert w.w.tolist() == [1.0, 1.0, 0.0]
         assert w.gmm is None
-
-    def test_csv_export(self):
-        data = loss_vector([0.25, 0.75], excluded=[0, 0])
-        fit = fit_gmm2(loss_vector([0.1] * 5 + [2.0] * 5))
-        text = confidence_to_csv(data, confidence(data, fit))
-        lines = text.strip().split("\n")
-        assert lines[0] == "loss,weight"
-        assert len(lines) == 3
-        assert lines[1].startswith("0.25,")
