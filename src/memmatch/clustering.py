@@ -246,14 +246,16 @@ def _kmeans_stacked(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
         own = np.take_along_axis(d2, new[..., None], axis=2)[..., 0]
         local = np.arange(live.size)
         repaired = np.zeros(live.size, dtype=bool)
-        for c in range(k):
-            far = own.argmax(axis=1)
-            fix = ~(new == c).any(axis=1) & (own[local, far] > 0.0)
-            g, f = local[fix], far[fix]
-            cen[g, c] = pts[g, f]
-            new[g, f] = c
-            own[g, f] = 0.0
-            repaired |= fix
+        # the repair pass changes nothing unless some live cluster has an empty cell
+        if not (new[..., None] == cells).any(axis=1).all():
+            for c in range(k):
+                far = own.argmax(axis=1)
+                fix = ~(new == c).any(axis=1) & (own[local, far] > 0.0)
+                g, f = local[fix], far[fix]
+                cen[g, c] = pts[g, f]
+                new[g, f] = c
+                own[g, f] = 0.0
+                repaired |= fix
         moving = repaired | (new != assign[live]).any(axis=1)
         assign[live] = new
         pts, cen, new = pts[moving], cen[moving], new[moving]

@@ -122,8 +122,8 @@ def normalize_rows(matrix) -> np.ndarray:
     floating point roundoff.
     """
     m = np.asarray(matrix, dtype=float)
-    norms = np.linalg.norm(m, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))  # np.linalg.norm's arithmetic, without its wrapper
+    bad = (norms == 0.0).nonzero()[0]
     if bad.size:
         raise ValueError(f"row {int(bad[0])} has zero norm and cannot be normalized")
     return m / norms[:, None]

@@ -11,10 +11,11 @@ the arithmetic of each batch unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import MemoryBank, NOISE_LABEL
+from .model import MemoryBank, NOISE_LABEL, _read_only
 
 REPORT_TOL = 1e-9
 
@@ -27,19 +28,21 @@ class GradientBuffer:
     the step touched (``np.unique(batch_rows, return_inverse=True)`` gives
     the rows and the local index of each sample), so its size is the batch,
     not N.  Rows no term adds to stay exactly zero.  Each call adds one
-    term: distinct indices take one fancy-index add, and repeated ones (a
-    draw with replacement) ``np.add.at``, which adds them in turn; either
-    way a row's sum is that of adding its samples one by one.
+    term: one fancy-index add when the buffer is ``distinct`` (no add names
+    a row twice), else ``np.add.at``, which adds repeated rows (a draw with
+    replacement) in turn; either way a row's sum is that of adding its
+    samples one by one.
     """
 
     g: np.ndarray
+    distinct: bool = False
 
     @classmethod
-    def zeros(cls, n: int, d: int) -> "GradientBuffer":
-        return cls(g=np.zeros((n, d)))
+    def zeros(cls, n: int, d: int, distinct: bool = False) -> "GradientBuffer":
+        return cls(g=np.zeros((n, d)), distinct=distinct)
 
     def add_rows(self, rows: np.ndarray, grad: np.ndarray) -> None:
-        if np.bincount(np.ravel(rows)).max(initial=0) <= 1:
+        if self.distinct:
             self.g[rows] += grad
         else:
             np.add.at(self.g, rows, grad)
@@ -118,19 +121,24 @@ def cluster_nce(
     n = feats.shape[-2]
     if n == 0:
         return _per_batch(np.zeros(feats.shape[:-2])), np.zeros_like(feats)
-    if labs.min() < 0 or labs.max() >= bank.cluster_count:
-        flat = labs.ravel()
-        bad = int(np.flatnonzero((flat < 0) | (flat >= bank.cluster_count))[0])
-        raise ValueError(f"batch sample {bad} carries label {flat[bad]} with no memory")
-    logits = feats @ bank.centroids.T / tau
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    centroids, flat = bank.centroids, labs.reshape(-1)
+    count = centroids.shape[0]
+    if np.minimum.reduce(flat) < 0 or np.maximum.reduce(flat) >= count:
+        bad = int(((flat < 0) | (flat >= count)).nonzero()[0][0])
+        *batch, sample = np.unravel_index(bad, labs.shape)
+        where = f"batch {', '.join(map(str, batch))} sample {sample}" if batch else f"batch sample {sample}"
+        raise ValueError(f"{where} carries label {flat[bad]} with no memory")
+    # ufunc reductions: the ndarray methods' arithmetic, without their wrappers
+    logits = feats @ centroids.T / tau
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     expv = np.exp(shifted)
-    denom = expv.sum(axis=-1, keepdims=True)
+    denom = np.add.reduce(expv, axis=-1, keepdims=True)
     logp = shifted - np.log(denom)
-    loss = -np.take_along_axis(logp, labs[..., None], axis=-1)[..., 0].mean(axis=-1)
+    own = np.arange(flat.size) * count + flat  # each sample's memory, flat in (..., n, P)
+    loss = -(np.add.reduce(logp.reshape(-1)[own].reshape(labs.shape), axis=-1) / n)
     delta = expv / denom  # the softmax, less the one-hot below
-    delta.reshape(-1, bank.cluster_count)[np.arange(labs.size), labs.ravel()] -= 1.0
-    grad = delta @ bank.centroids / (tau * n)
+    delta.reshape(-1)[own] -= 1.0
+    grad = delta @ centroids / (tau * n)
     return _per_batch(loss), grad
 
 
@@ -145,22 +153,19 @@ def intra_alignment(
     """
     feats = np.asarray(features, dtype=float)
     labs = np.asarray(labels, dtype=np.int64)
-    keep = labs != NOISE_LABEL
-    if not keep.any():
+    noise = labs == NOISE_LABEL
+    if np.logical_and.reduce(noise, axis=None):
         return _per_batch(np.zeros(feats.shape[:-2])), np.zeros_like(feats)
-    residual = feats - bank.centroids[np.where(keep, labs, 0)]
-    residual[~keep] = 0.0
-    return _per_batch((residual**2).sum(axis=(-2, -1))), 2.0 * residual
+    residual = feats - bank.centroids[labs]
+    residual[noise] = 0.0  # a noise row read the last memory
+    return _per_batch(np.add.reduce(residual**2, axis=(-2, -1))), 2.0 * residual
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, over any
-    leading batch axes: (..., n, d) x (..., m, d) -> (..., n, m)."""
-    d = (
-        (a**2).sum(axis=-1)[..., :, None]
-        + (b**2).sum(axis=-1)[..., None, :]
-        - 2.0 * (a @ np.swapaxes(b, -1, -2))
-    )
+def _sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x, over any leading
+    batch axes: (..., n, d) -> (..., n, n)."""
+    sq_norms = np.add.reduce(x**2, axis=-1)
+    d = sq_norms[..., :, None] + sq_norms[..., None, :] - 2.0 * (x @ x.swapaxes(-1, -2))
     return np.maximum(d, 0.0)
 
 
@@ -169,21 +174,29 @@ def _kernel(sq: np.ndarray, sigma) -> np.ndarray:
     return np.exp(-sq / (2.0 * s**2))
 
 
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, ...]:
+    """Indices of the pairs i < j of n rows, read-only: every call shares them."""
+    return tuple(_read_only(index) for index in np.triu_indices(n, k=1))
+
+
 def _median_pair_dist(sq: np.ndarray) -> np.ndarray:
-    # sq: (L, n, n) squared distances within each set, n >= 2; self-pairs excluded
-    iu = np.triu_indices(sq.shape[-1], k=1)
-    return np.maximum(np.median(np.sqrt(sq[..., iu[0], iu[1]]), axis=-1), 1e-12)
+    """``np.median`` of the distances over the pairs i < j of each (..., n, n)
+    block of squared distances (n >= 2, finite), floored at 1e-12."""
+    i, j = _pairs(sq.shape[-1])
+    pair_sq = sq[..., i, j]
+    lo, hi = (pair_sq.shape[-1] - 1) // 2, pair_sq.shape[-1] // 2  # one middle pair when odd: (s + s) / 2 = s
+    pair_sq.partition((lo, hi), axis=-1)
+    return np.maximum((np.sqrt(pair_sq[..., lo]) + np.sqrt(pair_sq[..., hi])) / 2, 1e-12)
 
 
-def _mmd2_grad(kxx, kxy, kyy, x, y, sigma):
-    # MMD^2 per label and its gradient w.r.t. x, from the three kernel blocks
+def _mmd2_grad(kxx, kxy, x, y, scale):
+    # the gradient of MMD^2 per label w.r.t. x, from two kernel blocks;
+    # scale = 2 / sigma^2.  d k(a,b)/da = k(a,b) * (b - a) / sigma^2
     n, m = x.shape[-2], y.shape[-2]
-    value = kxx.mean(axis=(-2, -1)) + kyy.mean(axis=(-2, -1)) - 2.0 * kxy.mean(axis=(-2, -1))
-    # d k(a,b)/da = k(a,b) * (b - a) / sigma^2
-    gxx = (kxx @ x - kxx.sum(axis=-1)[..., None] * x) / (n * n)
-    gxy = (kxy @ y - kxy.sum(axis=-1)[..., None] * x) / (n * m)
-    grad = (2.0 / np.asarray(sigma, dtype=float) ** 2)[..., None, None] * (gxx - gxy)
-    return value, grad
+    gxx = (kxx @ x - np.add.reduce(kxx, axis=-1)[..., None] * x) / (n * n)
+    gxy = (kxy @ y - np.add.reduce(kxy, axis=-1)[..., None] * x) / (n * m)
+    return scale * (gxx - gxy)
 
 
 def inter_loss(
@@ -209,11 +222,15 @@ def inter_loss(
     """
     p, n = xv.shape[-3], xv.shape[-2]
     union = np.concatenate([xv, xr], axis=-2)
-    sq = _sq_dists(union, union)
+    sq = _sq_dists(union)
     s = _median_pair_dist(sq) if isinstance(sigma, str) else float(sigma)
     k = _kernel(sq, s)
     kvv, kvr, krv, krr = k[..., :n, :n], k[..., :n, n:], k[..., n:, :n], k[..., n:, n:]
-    val_v, grad_v = _mmd2_grad(kvv, kvr, krr, xv, xr, s)
-    val_r, grad_r = _mmd2_grad(krr, krv, kvv, xr, xv, s)
-    total = 0.5 * val_v.sum(axis=-1) + 0.5 * val_r.sum(axis=-1)
+    # ndarray.mean's sums and divisions; both MMD^2s take the same two within-side means
+    mvv, mvr, mrv, mrr = (np.add.reduce(b, axis=(-2, -1)) / (b.shape[-2] * b.shape[-1]) for b in (kvv, kvr, krv, krr))
+    val_v, val_r = mvv + mrr - 2.0 * mvr, mvv + mrr - 2.0 * mrv
+    scale = (2.0 / np.asarray(s, dtype=float) ** 2)[..., None, None]
+    grad_v = _mmd2_grad(kvv, kvr, xv, xr, scale)
+    grad_r = _mmd2_grad(krr, krv, xr, xv, scale)
+    total = 0.5 * np.add.reduce(val_v, axis=-1) + 0.5 * np.add.reduce(val_r, axis=-1)
     return _per_batch(total / p), 0.5 * grad_v / p, 0.5 * grad_r / p

@@ -21,7 +21,8 @@ gradient.  A row's batches fall in ascending levels, so its updates keep
 their sequential order; each row is caught up to its own batch's step index
 and stepped there, the per-row gradient sums keep the sequential order of
 terms, and the losses are summed in batch order.  A divergence is reported
-as the per-batch loop would meet it first.
+as the per-batch loop would meet it first.  The index work of the levels is
+done once per epoch, and a level reads its rows once and steps that read.
 """
 from __future__ import annotations
 
@@ -165,7 +166,8 @@ class TrainableEmbeddings:
     index and stamped one past it, and ``steps`` becomes one past the
     largest index taken.  The catch-up replays exactly the zero-gradient
     steps in between, so this is the arithmetic of taking the steps one by
-    one (the module docstring says why).
+    one (the module docstring says why).  A step given the ``at`` of the
+    last read steps the rows from that read: no second catch-up or gather.
 
     A row whose norm stops being finite, after a catch-up or a step, raises
     ``TrainingDivergedError``.  A call checks its catch-ups, then its steps;
@@ -186,10 +188,11 @@ class TrainableEmbeddings:
         self.steps = 0
         self._map = np.array([[1.0 - lr * lam, -lr * mu], [lam, mu]])
         self._powers = np.eye(2)[None]  # _powers[k] = A^k, grown on demand
+        self._read = None  # (at, rows, parameters) of the last read, until a write
 
     def _power(self, lag: np.ndarray) -> np.ndarray:
         have = len(self._powers)
-        need = int(lag.max()) + 1
+        need = int(np.maximum.reduce(lag)) + 1
         if need > have:
             grown = np.empty((max(need, 2 * have), 2, 2))
             grown[:have] = self._powers
@@ -202,8 +205,8 @@ class TrainableEmbeddings:
         """Raise for the earliest non-finite joint row of ``rows``, whose
         parameters are ``theta``: the lowest step index ``at``, then the
         order of ``rows``."""
-        sq_norms = np.square(theta).sum(axis=1)
-        bad = np.flatnonzero(~np.isfinite(sq_norms))
+        sq_norms = np.add.reduce(theta * theta, axis=1)
+        bad = (~np.isfinite(sq_norms)).nonzero()[0]
         if bad.size:
             i = bad[np.argmin(at[bad])]
             key, row = ("v", int(rows[i])) if rows[i] < self.n_visible else ("r", int(rows[i]) - self.n_visible)
@@ -217,9 +220,10 @@ class TrainableEmbeddings:
         """Bring the joint ``rows`` to their step indices ``at`` and check
         those that moved."""
         lag = at - self.stamp[rows]
-        stale = np.flatnonzero(lag > 0)
+        stale = (lag > 0).nonzero()[0]
         if not stale.size:
             return
+        self._read = None
         rows, at = rows[stale], at[stale]
         a = self._power(lag[stale])[..., None]
         theta, vel = self.theta[rows], self.velocity[rows]
@@ -232,8 +236,11 @@ class TrainableEmbeddings:
     def features(self, rows: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
         """Row-normalized parameters of the joint ``rows``, each caught up to
         its step index in ``at`` (default: the current step)."""
-        self._catch_up(rows, np.full(rows.shape, self.steps) if at is None else at)
-        return normalize_rows(self.theta[rows])
+        at = np.full(rows.shape, self.steps) if at is None else at
+        self._catch_up(rows, at)
+        theta = self.theta[rows]
+        self._read = (at, rows, theta)
+        return normalize_rows(theta)
 
     def sets(self) -> tuple[EmbeddingSet, EmbeddingSet]:
         bounds = (0, self.n_visible, len(self.theta))
@@ -262,17 +269,23 @@ class TrainableEmbeddings:
 
         ``at`` gives each joint row, visible then infrared, the index of the
         step it takes (default: all the current step).  The call then stands
-        for those steps, and rows of different steps must be disjoint."""
-        # split by modality because the benchmark's step hook reads grad_v and grad_r by position
-        rows = np.concatenate([rows_v, self.n_visible + np.asarray(rows_r)])
-        at_rows = np.full(rows.shape, self.steps) if at is None else at
-        self._catch_up(rows, at_rows)
+        for those steps, and rows of different steps must be disjoint.  Given
+        the very ``at`` of the last read, the step takes the rows that read
+        left, which ``rows_v`` and ``rows_r`` must then be, split by modality."""
+        read, self._read = self._read, None
+        if read is None or at is not read[0]:
+            # split by modality because the benchmark's step hook reads grad_v and grad_r by position
+            rows = np.concatenate([rows_v, self.n_visible + np.asarray(rows_r)])
+            at_rows = np.full(rows.shape, self.steps) if at is None else at
+            self._catch_up(rows, at_rows)
+            read = (at_rows, rows, self.theta[rows])
+        at_rows, rows, theta = read
         grad = np.concatenate([grad_v, grad_r])
-        theta = self.theta[rows]
-        norms = np.maximum(np.linalg.norm(theta, axis=1, keepdims=True), 1e-12)
+        # np.linalg.norm's and ndarray.sum's arithmetic, without their wrappers
+        norms = np.maximum(np.sqrt(np.add.reduce(theta * theta, axis=1, keepdims=True)), 1e-12)
         unit = theta / norms
         # d(theta/|theta|)/dtheta applied to the normalized-view gradient
-        g_theta = (grad - (grad * unit).sum(axis=1, keepdims=True) * unit) / norms
+        g_theta = (grad - np.add.reduce(grad * unit, axis=1, keepdims=True) * unit) / norms
         g_theta = g_theta + self.weight_decay * theta
         velocity = self.momentum * self.velocity[rows] + g_theta
         self.velocity[rows] = velocity
@@ -281,7 +294,7 @@ class TrainableEmbeddings:
         self.stamp[rows] = at_rows + 1
         self._check(rows, at_rows, stepped, "a step")
         # a call without ``at`` takes the current step even when it touches no row
-        self.steps = max(self.steps + (at is None), 1 + int(at_rows.max(initial=-1)))
+        self.steps = max(self.steps + (at is None), 1 + int(np.maximum.reduce(at_rows, initial=-1)))
 
 
 def pk_sample(
@@ -310,9 +323,8 @@ def pk_sample(
         chosen = shared
         shortfall = cfg.batch_ids - shared.size
     vis_idx, inf_idx = [], []
-    for label in chosen:
-        members_v = vis_labels.members(int(label))
-        members_r = inf_labels.members(int(label))
+    for label in chosen.tolist():
+        members_v, members_r = vis_labels.members(label), inf_labels.members(label)
         vis_idx.append(
             rng.choice(members_v, size=cfg.per_id_visible, replace=members_v.size < cfg.per_id_visible)
         )
@@ -447,36 +459,57 @@ def _levels(rows: np.ndarray, n_rows: int) -> np.ndarray:
     level_of = np.full(n_rows, -1)  # the highest level that drew each row so far
     level = np.empty(len(rows), np.int64)
     for b, batch in enumerate(rows):
-        level[b] = level_of[batch].max() + 1
+        level[b] = np.maximum.reduce(level_of[batch]) + 1
         level_of[batch] = level[b]
     return level
 
 
-def _step_run(
-    trainable: TrainableEmbeddings, state: EpochState, cfg: PipelineConfig, batches: _Batches, now: np.ndarray
-) -> np.ndarray:
-    """One SGD step for each of the pairwise row-disjoint batches ``now``,
-    taken as one stacked step at each batch's own step index.  Returns their
-    (len(now), 5) loss terms; they count as run once the read has passed."""
-    n_v, n_vis, dim = batches.n_v, trainable.n_visible, trainable.theta.shape[1]
-    sampled = batches.rows[now]
-    # gradients are kept per distinct joint row: local[b, i] is the buffer
-    # row of sample sampled[b, i]
-    rows, local = np.unique(sampled, return_inverse=True)
+def _level_index(state: EpochState, batches: _Batches, todo: np.ndarray, n_rows: int) -> list[tuple]:
+    """The levels of the batches ``todo``, ascending, indexed all at once:
+    each level's batches, distinct joint rows (ascending, ``split`` of them
+    visible), the row each sample reads, each row's step index, whether no
+    sample repeats a row, and the samples' visible, infrared, joint labels."""
+    order = todo[np.argsort(batches.level[todo], kind="stable")]
+    level, sampled = batches.level[order], batches.rows[order]
+    n_v, n_visible = batches.n_v, len(state.visible)
+    labels = (state.labels_v.labels[sampled[:, :n_v]], state.labels_r.labels[sampled[:, n_v:] - n_visible],
+              state.labels_joint.labels[sampled])
+    # one key per (level, joint row): sorted, a level's distinct rows are one
+    # run of keys, in the order np.unique gives them for the level alone
+    keys, local = np.unique(level[:, None] * n_rows + sampled, return_inverse=True)
     local = local.reshape(sampled.shape)
-    at = np.empty(rows.size, np.int64)
-    at[local] = batches.first + now[:, None]
-    samples = local.ravel()
+    at = np.empty(keys.size, np.int64)
+    at[local] = batches.first + order[:, None]
+    firsts = np.flatnonzero(np.diff(level, prepend=-1)).tolist()
+    starts, splits = np.searchsorted(keys, level[firsts] * n_rows + np.array([[0], [n_visible]])).tolist()
+    return [
+        (order[a:b], keys[s:e] % n_rows, split - s, local[a:b] - s, at[s:e], keys.size == local.size,
+         [lab[a:b] for lab in labels])
+        for a, b, s, e, split in zip(firsts, [*firsts[1:], order.size], starts, [*starts[1:], keys.size], splits)
+    ]
+
+
+def _step_run(
+    trainable: TrainableEmbeddings, state: EpochState, cfg: PipelineConfig, batches: _Batches, level: tuple
+) -> None:
+    """One SGD step for each of the pairwise row-disjoint batches of
+    ``level`` (see ``_level_index``), taken as one stacked step at each
+    batch's own step index; their loss terms go to ``batches.losses``.  They
+    count as run once the read has passed."""
+    now, rows, split, local, at, distinct, (lab_v, lab_r, lab_joint) = level
+    n_v, dim = batches.n_v, trainable.theta.shape[1]
+    # read once: the step below, given the same ``at``, steps this read
     feats = trainable.features(rows, at)[local]
     fv, fr = feats[:, :n_v], feats[:, n_v:]
 
-    # each sample's terms are added in the sequential order, nce first
-    buf = GradientBuffer.zeros(rows.size, dim)
-    lab_v, lab_r = state.labels_v.labels[sampled[:, :n_v]], state.labels_r.labels[sampled[:, n_v:] - n_vis]
+    # gradients are kept per distinct joint row; each sample's terms are
+    # added in the sequential order, nce first
+    samples = local.reshape(-1)
+    buf = GradientBuffer.zeros(rows.size, dim, distinct)
     l_v, g_v = cluster_nce(fv, lab_v, state.wbank_v, cfg.tau)
     l_r, g_r = cluster_nce(fr, lab_r, state.wbank_r, cfg.tau)
     buf.add_rows(samples, np.concatenate([g_v, g_r], axis=1).reshape(-1, dim))
-    l_vr, g_vr = cluster_nce(feats, state.labels_joint.labels[sampled], state.wbank_joint, cfg.tau)
+    l_vr, g_vr = cluster_nce(feats, lab_joint, state.wbank_joint, cfg.tau)
     buf.add_rows(samples, g_vr.reshape(-1, dim))
 
     do_intra, do_inter = batches.terms
@@ -500,9 +533,8 @@ def _step_run(
         buf.add_rows(samples, cfg.lambda_inter * g_inter.reshape(-1, dim))
 
     batches.ran[now] = True  # a step that raises has still been taken
-    split = int(np.searchsorted(rows, n_vis))  # unique's rows are sorted, visible first
-    trainable.apply_step(buf.g[:split], buf.g[split:], rows[:split], rows[split:] - n_vis, at)
-    return np.stack([l_v, l_r, l_vr, l_intra, l_inter], axis=1)
+    trainable.apply_step(buf.g[:split], buf.g[split:], rows[:split], rows[split:] - trainable.n_visible, at)
+    batches.losses[now] = np.array([l_v, l_r, l_vr, l_intra, l_inter]).T
 
 
 def _run_levels(
@@ -515,10 +547,9 @@ def _run_levels(
     has not run yet has run: those share no row with any batch already run
     at s or later, so the error raised is the earliest one of the
     sequential order, with the same message."""
-    for level in np.unique(batches.level[todo]):
-        now = todo[batches.level[todo] == level]
+    for level in _level_index(state, batches, todo, len(trainable.theta)):
         try:
-            batches.losses[now] = _step_run(trainable, state, cfg, batches, now)
+            _step_run(trainable, state, cfg, batches, level)
         except TrainingDivergedError as err:
             below = np.flatnonzero(~batches.ran[: err.step - batches.first])
             if below.size:

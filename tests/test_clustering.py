@@ -21,7 +21,7 @@ from memmatch.model import (
     PseudoLabeling,
     normalize_rows,
 )
-from reference import naive_dbscan, naive_kmeans, naive_sub_cluster, occupied
+from reference import _farthest_point_seeds, naive_dbscan, naive_kmeans, naive_sub_cluster, occupied
 
 
 def unit_circle(angles_deg):
@@ -385,6 +385,28 @@ class TestSubCluster:
             feats = np.round(feats)
         bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), n)
         memories, occupancy = naive_sub_cluster(feats, labels, n)
+        assert np.array_equal(bank.memories, memories)
+        assert np.array_equal(bank.occupancy, occupancy)
+
+    def test_one_cluster_of_a_group_reseeds_an_empty_cell(self):
+        # three 19-member clusters run as one stacked group at n = 3.  The
+        # built one seeds C, B and A; after the first update A's mean takes
+        # B and C's mean takes the Y points, so B's cell is left empty and
+        # takes a reseed.  The random clusters keep every cell and skip the
+        # repair pass
+        b, y, c, c_near = [(0, 0)], [(1.9, 0)] * 3, [(4, 0)], [(2.05, 0)] * 9
+        a, a_near = [(0.8, 1.8)], [(0.45, 0.95)] * 4
+        built = np.array(b + y + c + c_near + a + a_near, float)
+        seeds = built[_farthest_point_seeds(built, 3)]
+        assert seeds.tolist() == [[4, 0], [0, 0], [0.8, 1.8]]
+        cells = ((built[:, None] - seeds) ** 2).sum(axis=2).argmin(axis=1)
+        means = np.stack([built[cells == cell].mean(axis=0) for cell in range(3)])
+        assert 1 not in ((built[:, None] - means) ** 2).sum(axis=2).argmin(axis=1)
+        rng = np.random.default_rng(12)
+        feats = np.concatenate([rng.standard_normal((19, 2)), built, rng.standard_normal((19, 2))])
+        labels = np.repeat(np.arange(3), 19)
+        bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), 3)
+        memories, occupancy = naive_sub_cluster(feats, labels, 3)
         assert np.array_equal(bank.memories, memories)
         assert np.array_equal(bank.occupancy, occupancy)
 

@@ -6,6 +6,8 @@ from memmatch.model import MemoryBank
 from memmatch.objective import (
     GradientBuffer,
     LossReport,
+    _median_pair_dist,
+    _sq_dists,
     cluster_nce,
     compose_report,
     inter_loss,
@@ -41,6 +43,15 @@ class TestClusterNce:
             cluster_nce(np.eye(2), np.array([0, 2]), bank, tau=0.1)
         with pytest.raises(ValueError, match="no memory"):
             cluster_nce(np.eye(2), np.array([-1, 0]), bank, tau=0.1)
+
+    def test_missing_memory_named_by_batch_and_sample(self):
+        bank = MemoryBank(scope="v", centroids=np.eye(2), counts=np.array([1, 1]))
+        labels = np.zeros((3, 8), np.int64)
+        labels[2, 1] = 5
+        with pytest.raises(ValueError, match=r"^batch 2 sample 1 carries label 5 with no memory$"):
+            cluster_nce(np.zeros((3, 8, 2)), labels, bank, tau=0.1)
+        with pytest.raises(ValueError, match=r"^batch sample 17 carries label 5 with no memory$"):
+            cluster_nce(np.zeros((24, 2)), labels.ravel(), bank, tau=0.1)
 
     @pytest.mark.parametrize("seed", range(21))
     def test_gradient_matches_finite_differences(self, seed):
@@ -149,6 +160,22 @@ class TestMmd2:
         loss, gv, gr = inter_loss(same, same, "median")
         assert loss == 0.0
         assert np.all(gv == 0.0) and np.all(gr == 0.0)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("rows", range(2, 8))
+    def test_median_pair_dist_is_np_median(self, rows, ties):
+        # unions of 2-7 rows give 1-21 pairs, odd and even counts; a coarse
+        # grid ties distances and makes some points coincide
+        rng = np.random.default_rng(600 + rows)
+        x = rng.standard_normal((3, 2, rows, 4))
+        if ties:
+            x = np.round(x)
+        sq = _sq_dists(x)
+        i, j = np.triu_indices(rows, k=1)
+        want = np.maximum(np.median(np.sqrt(sq[..., i, j]), axis=-1), 1e-12)
+        assert _median_pair_dist(sq).tobytes() == want.tobytes()
+        for block in np.ndindex(x.shape[:2]):
+            assert _median_pair_dist(sq[block]).tobytes() == want[block].tobytes()
 
     @pytest.mark.parametrize("seed", range(21))
     def test_grad_first_matches_finite_differences(self, seed):
@@ -298,7 +325,7 @@ def test_gradient_buffer_adds_each_sample_in_turn(seed, n, per_batch, repeats):
         rows = rng.permutation(n * per_batch).reshape(per_batch, n)
     size = int(rows.max()) + 1
     earlier, grad = rng.standard_normal((size, 3)), rng.standard_normal(rows.shape + (3,))
-    buf = GradientBuffer.zeros(size, 3)
+    buf = GradientBuffer.zeros(size, 3, distinct=not repeats)
     buf.add_rows(np.arange(size), earlier)
     buf.add_rows(rows, grad)
     want = earlier.copy()

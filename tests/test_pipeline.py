@@ -290,6 +290,42 @@ class TestTrainableEmbeddings:
             assert shuffled.velocity.tobytes() == in_turn.velocity.tobytes()
             assert shuffled.stamp.tobytes() == in_turn.stamp.tobytes()
 
+    @pytest.mark.parametrize("with_at", [False, True], ids=["current-step", "at"])
+    @pytest.mark.parametrize("read_first", [False, True], ids=["stale", "read"])
+    def test_step_from_its_read_matches_the_per_batch_path(self, read_first, with_at, monkeypatch):
+        # the per-batch path reads a batch, then steps it without ``at``; a
+        # step given its read's ``at`` takes the rows as read, with no second
+        # catch-up, and a step on stale rows catches them up itself
+        rng = np.random.default_rng(8)
+        n, d = 12, 5
+        vis = EmbeddingSet(features=normalize_rows(rng.standard_normal((n, d))), modality=np.full(n, "v"))
+        inf = EmbeddingSet(features=normalize_rows(rng.standard_normal((n, d))), modality=np.full(n, "r"))
+        per_batch, t = (TrainableEmbeddings(vis, inf, PipelineConfig()) for _ in range(2))
+        warm = [(np.sort(rng.permutation(n)[:4]), np.sort(rng.permutation(n)[:4]), rng.standard_normal((8, d)))
+                for _ in range(3)]
+        for trainable in (per_batch, t):
+            for rows_v, rows_r, g in warm:
+                trainable.apply_step(g[:4], g[4:], rows_v, rows_r)
+        rows_v, rows_r = np.sort(rng.permutation(n)[:5]), np.sort(rng.permutation(n)[:5])
+        g_v, g_r = rng.standard_normal((5, d)), rng.standard_normal((5, d))
+        joint = np.concatenate([rows_v, n + rows_r])
+        assert (t.stamp[joint] < t.steps).any()  # some rows are stale
+        read = per_batch.features(joint)
+        per_batch.apply_step(g_v, g_r, rows_v, rows_r)
+
+        at = np.full(joint.size, t.steps) if with_at else None
+        if read_first:
+            assert t.features(joint, at).tobytes() == read.tobytes()
+        catch_ups = []
+        catch_up = t._catch_up
+        monkeypatch.setattr(t, "_catch_up", lambda *args: catch_ups.append(args) or catch_up(*args))
+        t.apply_step(g_v, g_r, rows_v, rows_r, at=at)
+        assert len(catch_ups) == (0 if read_first and with_at else 1)
+        assert t.steps == per_batch.steps
+        assert t.theta.tobytes() == per_batch.theta.tobytes()
+        assert t.velocity.tobytes() == per_batch.velocity.tobytes()
+        assert t.stamp.tobytes() == per_batch.stamp.tobytes()
+
     def test_one_call_reports_its_earliest_failing_step(self):
         # rows 2 and 5 both overflow in one call standing for two steps;
         # row 5 takes the earlier one, so taken in turn it fails first
