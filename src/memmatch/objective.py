@@ -1,12 +1,14 @@
 """Training losses with analytic gradients w.r.t. the embedding rows.
 
 Cluster memories are constants inside every term: they are rebuilt from the
-labelings at the start of each epoch, never backpropagated through.  The
-kernel two-sample distance is the biased V-statistic (self-pairs included)
-of Gretton et al. (JMLR 2012), taken per pseudo-label over stacked
-(L, n, d) blocks: the L labels of one PK batch, n rows each.  Every loss
-also takes leading batch axes, so several PK batches run as one call with
-the arithmetic of each batch unchanged.
+labelings at the start of each epoch, never backpropagated through.  One
+kernel, ``memory_log_prob``, takes each sample's softmax over the memories for
+``cluster_nce`` and ``reliability.id_loss`` alike.  The kernel two-sample
+distance is the biased V-statistic (self-pairs included) of Gretton et al.
+(JMLR 2012), taken per pseudo-label over stacked (L, n, d) blocks: the L
+labels of one PK batch, n rows each.  Every loss also takes leading batch
+axes, so several PK batches run as one call with the arithmetic of each batch
+unchanged.
 """
 from __future__ import annotations
 
@@ -101,6 +103,28 @@ def _per_batch(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def memory_log_prob(
+    features: np.ndarray, labels: np.ndarray, centroids: np.ndarray, tau: float, softmax: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Log softmax probability (..., n) of each sample's own memory and, with
+    ``softmax``, the softmax less each one-hot: -d log p / d logits.  One GEMM
+    makes the (..., n, P) logits; all else works on that array in place."""
+    # ufunc reductions: the ndarray methods' arithmetic, without their wrappers
+    z = features @ centroids.T
+    z /= tau
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    own = np.arange(labels.size) * centroids.shape[0] + labels.reshape(-1)  # each sample's memory, flat in z
+    log_p = z.reshape(-1)[own].reshape(labels.shape)
+    np.exp(z, out=z)
+    denom = np.add.reduce(z, axis=-1, keepdims=True)
+    log_p -= np.log(denom)[..., 0]
+    if not softmax:
+        return log_p
+    z /= denom
+    z.reshape(-1)[own] -= 1.0  # a view: the GEMM's output is contiguous
+    return log_p, z
+
+
 def cluster_nce(
     features: np.ndarray, labels: np.ndarray, bank: MemoryBank, tau: float
 ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -128,18 +152,8 @@ def cluster_nce(
         *batch, sample = np.unravel_index(bad, labs.shape)
         where = f"batch {', '.join(map(str, batch))} sample {sample}" if batch else f"batch sample {sample}"
         raise ValueError(f"{where} carries label {flat[bad]} with no memory")
-    # ufunc reductions: the ndarray methods' arithmetic, without their wrappers
-    logits = feats @ centroids.T / tau
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    expv = np.exp(shifted)
-    denom = np.add.reduce(expv, axis=-1, keepdims=True)
-    logp = shifted - np.log(denom)
-    own = np.arange(flat.size) * count + flat  # each sample's memory, flat in (..., n, P)
-    loss = -(np.add.reduce(logp.reshape(-1)[own].reshape(labs.shape), axis=-1) / n)
-    delta = expv / denom  # the softmax, less the one-hot below
-    delta.reshape(-1)[own] -= 1.0
-    grad = delta @ centroids / (tau * n)
-    return _per_batch(loss), grad
+    log_p, delta = memory_log_prob(feats, labs, centroids, tau, softmax=True)
+    return _per_batch(-(np.add.reduce(log_p, axis=-1) / n)), delta @ centroids / (tau * n)
 
 
 def intra_alignment(

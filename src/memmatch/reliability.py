@@ -18,6 +18,7 @@ from .model import (
     MemoryBank,
     PseudoLabeling,
 )
+from .objective import memory_log_prob
 
 EM_TOL = 1e-8
 EM_MAX_ITER = 500
@@ -53,29 +54,22 @@ class IdLossVector:
         return self.losses[~self.excluded]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def id_loss(
     embedding_set: EmbeddingSet, labels: PseudoLabeling, bank: MemoryBank, tau: float
 ) -> IdLossVector:
     """-log softmax probability of each sample's own cluster memory.
 
-    Logits are dot products against all centroids scaled by 1/tau.  With a
-    single cluster the softmax is trivially 1 and every loss is 0.
+    Computed by ``objective.memory_log_prob``, the CMC loss's kernel, over
+    all rows (noise rows read memory 0, then score 0).  With a single
+    cluster the softmax is trivially 1 and every loss is 0.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if bank.cluster_count != labels.cluster_count:
         raise ValueError("bank was not built from this labeling")
-    logp = _log_softmax(embedding_set.features @ bank.centroids.T / tau)
-    losses = np.zeros(len(labels))
-    keep = ~labels.noise_mask
-    idx = np.flatnonzero(keep)
-    losses[idx] = -logp[idx, labels.labels[idx]]
-    return IdLossVector(scope=labels.scope, losses=losses, excluded=~keep)
+    losses = -memory_log_prob(embedding_set.features, np.maximum(labels.labels, 0), bank.centroids, tau)
+    losses[labels.noise_mask] = 0.0
+    return IdLossVector(scope=labels.scope, losses=losses, excluded=labels.noise_mask)
 
 
 def _log_normal_pdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
