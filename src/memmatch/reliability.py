@@ -65,6 +65,8 @@ def id_loss(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if len(labels) != len(embedding_set):
+        raise ValueError(f"labeling has {len(labels)} rows, the embedding set {len(embedding_set)}")
     if bank.cluster_count != labels.cluster_count:
         raise ValueError("bank was not built from this labeling")
     losses = -memory_log_prob(embedding_set.features, np.maximum(labels.labels, 0), bank.centroids, tau)

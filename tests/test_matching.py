@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memmatch import model
+from memmatch.clustering import sub_cluster
 from memmatch.matching import (
     CostMatrix,
     multi_memory_cost,
     solve_assignment,
     transfer_labels,
 )
-from memmatch.model import MultiMemoryBank, PseudoLabeling
+from memmatch.model import EmbeddingSet, MultiMemoryBank, PseudoLabeling, normalize_rows
 from reference import brute_force_assignment, naive_multi_memory_cost
 
 
@@ -114,6 +115,41 @@ class TestMultiMemoryCost:
         assert np.array_equal(multi_memory_cost(vis, inf).m, whole)
         expected = naive_multi_memory_cost(memories, occupancy, inf_memories, inf_occupancy)
         np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
+
+
+class TestMultiMemoryMechanism:
+    """The paper's claim in miniature: two identities X and Y, each seen
+    in two views, a and b.  Visible X is mostly view a and infrared X
+    mostly view b; Y is the mirror image, and Y's views sit near X's, so
+    the cluster means cross modalities the wrong way.  One memory per
+    cluster matches those means and crosses the identities; two or more
+    memories hold both views and match each identity to itself."""
+
+    @staticmethod
+    def crossed_views():
+        rng = np.random.default_rng(0)
+        e = np.eye(8)
+        views = {"xa": e[0], "xb": e[1], "ya": e[0] + 0.3 * e[2], "yb": e[1] + 0.3 * e[3]}
+
+        def modality(counts, tag):
+            rows = np.array([views[v] for v, c in counts for _ in range(c)])
+            feats = normalize_rows(rows + 0.02 * rng.standard_normal(rows.shape))
+            return EmbeddingSet(features=feats, modality=np.full(len(rows), tag))
+
+        visible = modality([("xa", 8), ("xb", 2), ("yb", 8), ("ya", 2)], "v")
+        infrared = modality([("xb", 8), ("xa", 2), ("ya", 8), ("yb", 2)], "r")
+        return visible, infrared  # rows 0-9 are X, rows 10-19 Y, in both
+
+    @pytest.mark.parametrize("n_memories, matched", [(1, "crossed"), (2, "true"), (4, "true")])
+    def test_several_memories_undo_crossed_means(self, n_memories, matched):
+        visible, infrared = self.crossed_views()
+        truth = [0] * 10 + [1] * 10
+        banks = (
+            sub_cluster(es, PseudoLabeling.from_labels(scope, truth), n_memories)
+            for es, scope in ((visible, "v"), (infrared, "r"))
+        )
+        q = solve_assignment(multi_memory_cost(*banks)).q
+        assert q.tolist() == {"crossed": [[0, 1], [1, 0]], "true": [[1, 0], [0, 1]]}[matched]
 
 
 class TestSolveAssignment:

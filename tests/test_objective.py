@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +54,21 @@ class TestClusterNce:
             cluster_nce(np.zeros((3, 8, 2)), labels, bank, tau=0.1)
         with pytest.raises(ValueError, match=r"^batch sample 17 carries label 5 with no memory$"):
             cluster_nce(np.zeros((24, 2)), labels.ravel(), bank, tau=0.1)
+
+    def test_stacked_peak_is_one_logit_array(self):
+        # the softmax is worked in place on the (B, n, P) logits: the
+        # gradient, (B, n, d) with d << P, is all that comes on top
+        rng = np.random.default_rng(8)
+        b, n, d, p = 20, 64, 16, 200
+        bank = random_bank(rng, p, d)
+        feats, labels = rng.standard_normal((b, n, d)), rng.integers(0, p, (b, n))
+        tracemalloc.start()
+        try:
+            cluster_nce(feats, labels, bank, tau=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * b * n * p
 
     @pytest.mark.parametrize("seed", range(21))
     def test_gradient_matches_finite_differences(self, seed):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from memmatch.clustering import build_memory
-from memmatch.model import EmbeddingSet, GmmFit, PseudoLabeling
+from memmatch.model import EmbeddingSet, GmmFit, MemoryBank, PseudoLabeling, normalize_rows
 from memmatch.reliability import (
     DegenerateLossError,
     IdLossVector,
@@ -47,8 +49,6 @@ class TestIdLoss:
     def test_closed_form_wrong_side(self):
         # each sample orthogonal to its own centroid and aligned with the
         # other one: logits (0, 1) for label 0, so loss = -log(1/(1+e))
-        from memmatch.model import MemoryBank
-
         es = make_set([[0.0, 1.0], [1.0, 0.0]])
         labels = PseudoLabeling.from_labels("v", [0, 1])
         bank = MemoryBank(scope="v", centroids=np.array([[1.0, 0.0], [0.0, 1.0]]), counts=np.array([1, 1]))
@@ -63,6 +63,32 @@ class TestIdLoss:
         out = id_loss(es, labels, bank, tau=0.05)
         assert out.excluded.tolist() == [False, False, True]
         assert out.losses[2] == 0.0
+
+    @pytest.mark.parametrize("rows", [4, 8])
+    def test_labeling_of_another_length_rejected(self, rows):
+        es = make_set(np.eye(6))
+        labels = PseudoLabeling.from_labels("v", [0, 1] * (rows // 2))
+        bank = MemoryBank(scope="v", centroids=np.eye(6)[:2], counts=np.array([rows // 2] * 2))
+        with pytest.raises(ValueError, match=f"^labeling has {rows} rows, the embedding set 6$"):
+            id_loss(es, labels, bank, tau=0.5)
+
+    def test_peak_is_one_logit_array(self):
+        # one N x P array of logits, worked in place; the N-long vectors
+        # (labels, losses, masks) are all that comes on top
+        rng = np.random.default_rng(3)
+        n, p, d = 2000, 200, 32
+        es = make_set(normalize_rows(rng.standard_normal((n, d))))
+        raw = np.concatenate([np.arange(p), rng.integers(-1, p, n - p)])
+        labels = PseudoLabeling.from_labels("v", raw)
+        bank = MemoryBank(scope="v", centroids=normalize_rows(rng.standard_normal((p, d))), counts=np.ones(p, int))
+        tracemalloc.start()
+        try:
+            out = id_loss(es, labels, bank, tau=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.excluded.any()
+        assert peak < 1.5 * 8 * n * p
 
     @given(st.integers(0, 10_000))
     def test_cluster_index_permutation_invariance(self, seed):
