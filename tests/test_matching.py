@@ -140,7 +140,9 @@ class TestMultiMemoryMechanism:
         infrared = modality([("xb", 8), ("xa", 2), ("ya", 8), ("yb", 2)], "r")
         return visible, infrared  # rows 0-9 are X, rows 10-19 Y, in both
 
-    @pytest.mark.parametrize("n_memories, matched", [(1, "crossed"), (2, "true"), (4, "true")])
+    CROSSED, TRUE = [[0, 1], [1, 0]], [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("n_memories, matched", [(1, CROSSED), (2, TRUE), (4, TRUE)], ids=["1", "2", "4"])
     def test_several_memories_undo_crossed_means(self, n_memories, matched):
         visible, infrared = self.crossed_views()
         truth = [0] * 10 + [1] * 10
@@ -148,8 +150,7 @@ class TestMultiMemoryMechanism:
             sub_cluster(es, PseudoLabeling.from_labels(scope, truth), n_memories)
             for es, scope in ((visible, "v"), (infrared, "r"))
         )
-        q = solve_assignment(multi_memory_cost(*banks)).q
-        assert q.tolist() == {"crossed": [[0, 1], [1, 0]], "true": [[1, 0], [0, 1]]}[matched]
+        assert solve_assignment(multi_memory_cost(*banks)).q.tolist() == matched
 
 
 class TestSolveAssignment:
