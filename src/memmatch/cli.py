@@ -101,7 +101,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_embeddings(out / "visible.emb", visible)
     dataio.write_embeddings(out / "infrared.emb", infrared)
-    (out / "spec.txt").write_text(synth.spec_to_text(spec))
+    (out / "spec.txt").write_text(dataio.record_to_text(spec))
     print(f"wrote {out / 'visible.emb'} ({len(visible)} rows)")
     print(f"wrote {out / 'infrared.emb'} ({len(infrared)} rows)")
     print(f"wrote {out / 'spec.txt'}")

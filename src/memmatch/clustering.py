@@ -187,7 +187,7 @@ def build_memory(
     centroid instead of renormalizing it.  Noise samples never contribute.
     """
     if len(labels) != len(embedding_set):
-        raise ValueError("labeling length does not match the embedding set")
+        raise ValueError(f"labeling has {len(labels)} rows, the embedding set {len(embedding_set)}")
     if weights is not None and weights.scope != labels.scope:
         raise ValueError(f"weight scope {weights.scope!r} != label scope {labels.scope!r}")
     feats = embedding_set.features
@@ -282,7 +282,7 @@ def sub_cluster(embedding_set: EmbeddingSet, labels: PseudoLabeling, n: int) -> 
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(labels) != len(embedding_set):
-        raise ValueError("labeling length does not match the embedding set")
+        raise ValueError(f"labeling has {len(labels)} rows, the embedding set {len(embedding_set)}")
     p_count, dim = labels.cluster_count, embedding_set.dim
     memories = np.zeros((p_count, n, dim))
     occupancy = np.zeros((p_count, n), dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Text file formats: embedding files, key=value configs.
+"""Text file formats: embedding files, key=value records (configs, specs).
 
 Embedding file layout: a header line ``d=<int>`` followed by one record per
 sample, ``<modality>,<true_id or -1>,<f_1>,...,<f_d>`` in decimal text.
@@ -6,13 +6,13 @@ Floats are written with ``repr`` so a write/read round trip is exact.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Mapping, get_args, get_type_hints
 
 import numpy as np
 
-from .model import CONFIG_FIELDS, MODALITIES, EmbeddingSet, PipelineConfig
+from .model import MODALITIES, EmbeddingSet, PipelineConfig
 
 
 class DataFormatError(ValueError):
@@ -85,10 +85,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def format_kv(entries: Mapping[str, object]) -> str:
-    return "\n".join(f"{k}={v}" for k, v in entries.items()) + "\n"
-
-
 def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes"):
@@ -98,48 +94,46 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def config_from_entries(entries: Mapping[str, str], base: PipelineConfig | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from string entries on top of ``base``.
-
-    Each value is parsed by its field's type in PipelineConfig.  Unknown
-    keys are rejected with the full list of valid keys so typos are caught
-    immediately.
-    """
-    cfg = base if base is not None else PipelineConfig()
+def record_from_entries(base, entries: Mapping[str, str], noun: str):
+    """The dataclass ``base`` with each string entry parsed by its field's
+    type hint: int, bool, float, or ``"median"`` for a ``float | str``
+    field.  An unknown key is rejected with the full list of valid keys so
+    typos are caught immediately; ``noun`` names the record in messages."""
+    kinds = get_type_hints(type(base))
     updates: dict[str, object] = {}
     for key, raw in entries.items():
-        if key not in CONFIG_FIELDS:
-            raise DataFormatError(
-                f"unknown config key {key!r}; valid keys: {', '.join(CONFIG_FIELDS)}"
-            )
+        if key not in kinds:
+            raise DataFormatError(f"unknown {noun} key {key!r}; valid keys: {', '.join(kinds)}")
+        kind = kinds[key]
         try:
-            updates[key] = _coerce_config_value(key, raw)
+            if kind is int:
+                updates[key] = int(raw)
+            elif kind is bool:
+                updates[key] = _parse_bool(raw)
+            elif raw == "median" and str in get_args(kind):
+                updates[key] = raw
+            else:
+                updates[key] = float(raw)
         except ValueError as exc:
-            raise DataFormatError(f"config key {key!r}: {exc}") from None
-    cfg = replace(cfg, **updates)
+            raise DataFormatError(f"{noun} key {key!r}: {exc}") from None
+    return replace(base, **updates)
+
+
+def record_to_text(record) -> str:
+    """The dataclass ``record`` as ``key=value`` lines in field order;
+    ``record_from_entries`` reads them back exactly."""
+    return "".join(f"{f.name}={getattr(record, f.name)}\n" for f in fields(record))
+
+
+def config_from_entries(entries: Mapping[str, str], base: PipelineConfig | None = None) -> PipelineConfig:
+    """Build a PipelineConfig from string entries on top of ``base``
+    (``record_from_entries``), then validate it."""
+    cfg = record_from_entries(PipelineConfig() if base is None else base, entries, "config")
     problems = cfg.validate()
     if problems:
         raise DataFormatError("invalid config: " + "; ".join(problems))
     return cfg
 
 
-_FIELD_TYPES = get_type_hints(PipelineConfig)
-
-
-def _coerce_config_value(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    if kind is int:
-        return int(raw)
-    if kind is bool:
-        return _parse_bool(raw)
-    if raw == "median" and str in get_args(kind):
-        return raw
-    return float(raw)
-
-
 def read_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
     return config_from_entries(parse_kv_text(Path(path).read_text()), base)
-
-
-def config_to_text(cfg: PipelineConfig) -> str:
-    return format_kv({name: getattr(cfg, name) for name in CONFIG_FIELDS})

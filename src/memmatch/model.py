@@ -34,6 +34,17 @@ def row_blocks(n: int, row_floats: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def non_finite(record) -> list[str]:
+    """One message per float field of the dataclass ``record`` that is not
+    finite.  NaN fails every comparison, so a ``validate`` starts here."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return [
+        f"{name} must be finite, got {value!r}"
+        for name, value in values
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+
+
 def _frozen(values, dtype=None) -> np.ndarray:
     """A read-only array of ``values``.  An ndarray that already has the
     dtype, owns its data and is read-only is adopted without a copy; any
@@ -361,12 +372,7 @@ class PipelineConfig:
     gmm_weighting: bool = True
 
     def validate(self) -> list[str]:
-        # NaN fails every comparison below, so non-finite values are caught first.
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                out.append(f"{f.name} must be finite, got {value!r}")
+        out = non_finite(self)
         for name in ("tau", "dbscan_eps", "learning_rate"):
             if getattr(self, name) <= 0:
                 out.append(f"{name} must be positive")

@@ -22,7 +22,7 @@ their sequential order; each row is caught up to its own batch's step index
 and stepped there, the per-row gradient sums keep the sequential order of
 terms, and the losses are summed in batch order.  A divergence is reported
 as the per-batch loop would meet it first.  The index work of the levels is
-done once per epoch, and a level reads its rows once and steps that read.
+done once per epoch.
 """
 from __future__ import annotations
 
@@ -166,8 +166,7 @@ class TrainableEmbeddings:
     index and stamped one past it, and ``steps`` becomes one past the
     largest index taken.  The catch-up replays exactly the zero-gradient
     steps in between, so this is the arithmetic of taking the steps one by
-    one (the module docstring says why).  A step given the ``at`` of the
-    last read steps the rows from that read: no second catch-up or gather.
+    one (the module docstring says why).
 
     A row whose norm stops being finite, after a catch-up or a step, raises
     ``TrainingDivergedError``.  A call checks its catch-ups, then its steps;
@@ -188,7 +187,6 @@ class TrainableEmbeddings:
         self.steps = 0
         self._map = np.array([[1.0 - lr * lam, -lr * mu], [lam, mu]])
         self._powers = np.eye(2)[None]  # _powers[k] = A^k, grown on demand
-        self._read = None  # (at, rows, parameters) of the last read, until a write
 
     def _power(self, lag: np.ndarray) -> np.ndarray:
         have = len(self._powers)
@@ -223,7 +221,6 @@ class TrainableEmbeddings:
         stale = (lag > 0).nonzero()[0]
         if not stale.size:
             return
-        self._read = None
         rows, at = rows[stale], at[stale]
         a = self._power(lag[stale])[..., None]
         theta, vel = self.theta[rows], self.velocity[rows]
@@ -238,9 +235,7 @@ class TrainableEmbeddings:
         its step index in ``at`` (default: the current step)."""
         at = np.full(rows.shape, self.steps) if at is None else at
         self._catch_up(rows, at)
-        theta = self.theta[rows]
-        self._read = (at, rows, theta)
-        return normalize_rows(theta)
+        return normalize_rows(self.theta[rows])
 
     def sets(self) -> tuple[EmbeddingSet, EmbeddingSet]:
         bounds = (0, self.n_visible, len(self.theta))
@@ -269,17 +264,12 @@ class TrainableEmbeddings:
 
         ``at`` gives each joint row, visible then infrared, the index of the
         step it takes (default: all the current step).  The call then stands
-        for those steps, and rows of different steps must be disjoint.  Given
-        the very ``at`` of the last read, the step takes the rows that read
-        left, which ``rows_v`` and ``rows_r`` must then be, split by modality."""
-        read, self._read = self._read, None
-        if read is None or at is not read[0]:
-            # split by modality because the benchmark's step hook reads grad_v and grad_r by position
-            rows = np.concatenate([rows_v, self.n_visible + np.asarray(rows_r)])
-            at_rows = np.full(rows.shape, self.steps) if at is None else at
-            self._catch_up(rows, at_rows)
-            read = (at_rows, rows, self.theta[rows])
-        at_rows, rows, theta = read
+        for those steps, and rows of different steps must be disjoint."""
+        # split by modality because the benchmark's step hook reads grad_v and grad_r by position
+        rows = np.concatenate([rows_v, self.n_visible + np.asarray(rows_r)])
+        at_rows = np.full(rows.shape, self.steps) if at is None else at
+        self._catch_up(rows, at_rows)
+        theta = self.theta[rows]
         grad = np.concatenate([grad_v, grad_r])
         # np.linalg.norm's and ndarray.sum's arithmetic, without their wrappers
         norms = np.maximum(np.sqrt(np.add.reduce(theta * theta, axis=1, keepdims=True)), 1e-12)
@@ -349,18 +339,6 @@ def _weigh(
     return losses, conf, build_memory(es, labels, conf)
 
 
-_LOSS_TERMS = ("l_v", "l_r", "l_vr", "l_intra", "l_inter")
-
-
-def _mean_losses(cfg: PipelineConfig, sums: dict[str, float], n_batches: int) -> LossReport:
-    denom = max(n_batches, 1)
-    return compose_report(
-        **{term: total / denom for term, total in sums.items()},
-        lambda_intra=cfg.lambda_intra,
-        lambda_inter=cfg.lambda_inter,
-    )
-
-
 def _metric_report(
     visible: EmbeddingSet, infrared: EmbeddingSet, labels_v: PseudoLabeling, labels_r: PseudoLabeling
 ) -> MetricReport | None:
@@ -423,7 +401,7 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
         wbank_v=wbank_v,
         wbank_r=wbank_r,
         wbank_joint=wbank_joint,
-        losses=_mean_losses(cfg, dict.fromkeys(_LOSS_TERMS, 0.0), 0),
+        losses=compose_report(0.0, 0.0, 0.0, 0.0, 0.0, cfg.lambda_intra, cfg.lambda_inter),
         metrics=_metric_report(visible, infrared, labels_v, labels_r),
         notes=notes,
     )
@@ -498,7 +476,6 @@ def _step_run(
     count as run once the read has passed."""
     now, rows, split, local, at, distinct, (lab_v, lab_r, lab_joint) = level
     n_v, dim = batches.n_v, trainable.theta.shape[1]
-    # read once: the step below, given the same ``at``, steps this read
     feats = trainable.features(rows, at)[local]
     fv, fr = feats[:, :n_v], feats[:, n_v:]
 
@@ -603,18 +580,17 @@ def run_epoch(
             epoch >= cfg.inter_start_epoch and cfg.lambda_inter > 0,
         ),
         ran=np.zeros(n_batches, bool),
-        losses=np.empty((n_batches, len(_LOSS_TERMS))),
+        losses=np.empty((n_batches, 5)),
     )
     try:
         _run_levels(trainable, state, cfg, batches, np.arange(n_batches))
     except TrainingDivergedError as err:
         raise TrainingDivergedError(f"epoch {epoch}, batch {err.step - batches.first + 1}: {err}", err.step) from None
 
-    sums = dict.fromkeys(_LOSS_TERMS, 0.0)
-    for values in batches.losses:  # in batch order
-        for term, value in zip(_LOSS_TERMS, values):
-            sums[term] += float(value)
-    return replace(state, losses=_mean_losses(cfg, sums, n_batches), notes=state.notes + notes)
+    # summed in batch order, from +0.0 as a sequential sum starts
+    means = np.add.reduce(batches.losses, axis=0, initial=0.0) / n_batches
+    losses = compose_report(*means.tolist(), cfg.lambda_intra, cfg.lambda_inter)
+    return replace(state, losses=losses, notes=state.notes + notes)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,8 @@ def id_loss(
         raise ValueError(f"labeling has {len(labels)} rows, the embedding set {len(embedding_set)}")
     if bank.cluster_count != labels.cluster_count:
         raise ValueError("bank was not built from this labeling")
-    losses = -memory_log_prob(embedding_set.features, np.maximum(labels.labels, 0), bank.centroids, tau)
+    # 0 - log p, not -log p: a sure sample's loss is +0.0, not -0.0
+    losses = 0.0 - memory_log_prob(embedding_set.features, np.maximum(labels.labels, 0), bank.centroids, tau)
     losses[labels.noise_mask] = 0.0
     return IdLossVector(scope=labels.scope, losses=losses, excluded=labels.noise_mask)
 

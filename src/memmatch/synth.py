@@ -9,13 +9,12 @@ points to simulate feature-level outliers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataFormatError, parse_kv_text
-from .model import INFRARED, VISIBLE, EmbeddingSet, normalize_rows
+from .dataio import parse_kv_text, record_from_entries
+from .model import INFRARED, VISIBLE, EmbeddingSet, non_finite, normalize_rows
 from .rng import named_stream
 
 _CENTER_ATTEMPTS = 20000
@@ -39,7 +38,7 @@ class SynthSpec:
     seed: int = 7
 
     def validate(self) -> list[str]:
-        out = []
+        out = non_finite(self)
         for name in ("identities", "samples_per_identity_per_modality", "sub_modes", "dim"):
             if getattr(self, name) < 1:
                 out.append(f"{name} must be at least 1")
@@ -55,22 +54,7 @@ class SynthSpec:
         return out
 
 
-SPEC_FIELDS = tuple(f.name for f in fields(SynthSpec))
-_SPEC_INT = {"identities", "samples_per_identity_per_modality", "sub_modes", "dim", "seed"}
-
-
-def spec_from_entries(entries: Mapping[str, str]) -> SynthSpec:
-    updates: dict[str, object] = {}
-    for key, raw in entries.items():
-        if key not in SPEC_FIELDS:
-            raise DataFormatError(
-                f"unknown spec key {key!r}; valid keys: {', '.join(SPEC_FIELDS)}"
-            )
-        try:
-            updates[key] = int(raw) if key in _SPEC_INT else float(raw)
-        except ValueError:
-            raise DataFormatError(f"spec key {key!r}: cannot parse {raw!r}") from None
-    spec = SynthSpec(**updates)
+def _checked(spec: SynthSpec) -> SynthSpec:
     problems = spec.validate()
     if problems:
         raise SpecError("invalid spec: " + "; ".join(problems))
@@ -78,11 +62,7 @@ def spec_from_entries(entries: Mapping[str, str]) -> SynthSpec:
 
 
 def spec_from_text(text: str) -> SynthSpec:
-    return spec_from_entries(parse_kv_text(text))
-
-
-def spec_to_text(spec: SynthSpec) -> str:
-    return "\n".join(f"{name}={getattr(spec, name)!r}" for name in SPEC_FIELDS) + "\n"
+    return _checked(record_from_entries(SynthSpec(), parse_kv_text(text), "spec"))
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -108,9 +88,7 @@ def _sample_centers(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
 
 def generate(spec: SynthSpec) -> tuple[EmbeddingSet, EmbeddingSet]:
     """Deterministic (visible, infrared) sets for the given spec."""
-    problems = spec.validate()
-    if problems:
-        raise SpecError("invalid spec: " + "; ".join(problems))
+    _checked(spec)
     rng = named_stream(spec.seed, "synth")
     centers = _sample_centers(rng, spec)
     sub_centers = np.zeros((spec.identities, spec.sub_modes, spec.dim))

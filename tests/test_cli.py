@@ -10,13 +10,13 @@ import pytest
 import memmatch
 from memmatch import cli, pipeline
 from memmatch.cli import main
-from memmatch.dataio import write_embeddings
+from memmatch.dataio import record_to_text, write_embeddings
 from memmatch.matching import solve_assignment
 from memmatch.metrics import RetrievalReport
 from memmatch.model import EmbeddingSet
 from memmatch.objective import compose_report
 from memmatch.reliability import IdLossVector, confidence, fit_gmm2
-from memmatch.synth import SynthSpec, spec_to_text
+from memmatch.synth import SynthSpec
 
 FAST_CFG = [
     "epochs=2",
@@ -40,7 +40,7 @@ def small_spec_text(**overrides):
         seed=9,
     )
     base.update(overrides)
-    return spec_to_text(SynthSpec(**base))
+    return record_to_text(SynthSpec(**base))
 
 
 @pytest.fixture()
@@ -73,6 +73,15 @@ def test_generate_invalid_spec_exit_2(tmp_path, capsys):
     code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "outlier_fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("noise_sigma", "nan"), ("modality_offset", "inf"), ("sub_mode_spread", "inf")])
+def test_generate_non_finite_spec_exit_2(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"{field}={value}\n")
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_usage_error_exit_1(capsys):
@@ -122,6 +131,19 @@ def test_train_rerun_byte_identical(data_dir, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_single_cluster_losses_written_as_zero(tmp_path):
+    # one identity: one cluster a scope, so every sample's softmax is 1 and
+    # its loss +0.0, written "0.0" (never "-0.0")
+    spec = tmp_path / "spec.txt"
+    spec.write_text(small_spec_text(identities=1))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+    out = tmp_path / "run"
+    assert main(train_args(tmp_path / "data", out)) == 0
+    lines = (out / "confidence_v.csv").read_text().splitlines()
+    assert lines[0] == "loss,weight" and len(lines) == 9
+    assert set(lines[1:]) == {"0.0,1.0"}
+
+
 def test_train_single_memory_tagged(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(train_args(data_dir, out, ["n_memories=1"])) == 0
@@ -154,7 +176,7 @@ def test_train_non_finite_override_exit_2(data_dir, tmp_path, capsys):
 
 def test_train_diverged_exit_3(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
-    spec.write_text(spec_to_text(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21)))
+    spec.write_text(record_to_text(SynthSpec(identities=5, samples_per_identity_per_modality=8, dim=16, seed=21)))
     data = tmp_path / "data"
     assert main(["generate", "--spec", str(spec), "--out", str(data)]) == 0
     args = [

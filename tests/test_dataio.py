@@ -6,10 +6,10 @@ import pytest
 from memmatch.dataio import (
     DataFormatError,
     config_from_entries,
-    config_to_text,
     parse_kv_text,
     read_config,
     read_embeddings,
+    record_to_text,
     write_embeddings,
 )
 from memmatch.model import EmbeddingSet, PipelineConfig, normalize_rows
@@ -100,7 +100,7 @@ class TestConfig:
         default = PipelineConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         path = tmp_path / "cfg.txt"
-        path.write_text(config_to_text(cfg))
+        path.write_text(record_to_text(cfg))
         again = read_config(path)
         assert again == cfg
         for f in fields(cfg):
@@ -115,7 +115,7 @@ class TestConfig:
     def test_median_sigma_round_trip(self, tmp_path):
         cfg = PipelineConfig()
         path = tmp_path / "cfg.txt"
-        path.write_text(config_to_text(cfg))
+        path.write_text(record_to_text(cfg))
         assert read_config(path).mmd_sigma == "median"
 
     def test_overrides_last_wins(self):

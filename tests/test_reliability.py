@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memmatch.clustering import build_memory
+from memmatch.clustering import build_memory, sub_cluster
 from memmatch.model import EmbeddingSet, GmmFit, MemoryBank, PseudoLabeling, normalize_rows
 from memmatch.reliability import (
     DegenerateLossError,
@@ -69,8 +69,11 @@ class TestIdLoss:
         es = make_set(np.eye(6))
         labels = PseudoLabeling.from_labels("v", [0, 1] * (rows // 2))
         bank = MemoryBank(scope="v", centroids=np.eye(6)[:2], counts=np.array([rows // 2] * 2))
-        with pytest.raises(ValueError, match=f"^labeling has {rows} rows, the embedding set 6$"):
-            id_loss(es, labels, bank, tau=0.5)
+        # the memory builders that read the labeling check it the same way
+        for call in (lambda: id_loss(es, labels, bank, tau=0.5), lambda: build_memory(es, labels),
+                     lambda: sub_cluster(es, labels, 2)):
+            with pytest.raises(ValueError, match=f"^labeling has {rows} rows, the embedding set 6$"):
+                call()
 
     def test_peak_is_one_logit_array(self):
         # one N x P array of logits, worked in place; the N-long vectors

@@ -4,7 +4,8 @@ import pytest
 from memmatch.clustering import dbscan, pairwise_cosine_distance, sub_cluster
 from memmatch.metrics import ari
 from memmatch.model import PseudoLabeling, validate
-from memmatch.synth import SpecError, SynthSpec, generate, spec_from_text, spec_to_text
+from memmatch.dataio import record_to_text
+from memmatch.synth import SpecError, SynthSpec, generate, spec_from_text
 from reference import occupied
 
 
@@ -113,11 +114,20 @@ class TestGenerate:
         with pytest.raises(SpecError, match="outlier_fraction"):
             generate(small_spec(outlier_fraction=1.5))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise_sigma", float("nan")), ("modality_offset", float("inf")), ("sub_mode_spread", float("inf"))],
+    )
+    def test_non_finite_rejected(self, field, value):
+        # NaN and inf pass the range checks, and would fill every row with NaN
+        with pytest.raises(SpecError, match=f"{field} must be finite"):
+            generate(small_spec(**{field: value}))
+
 
 class TestSpecText:
     def test_round_trip(self):
         spec = small_spec(outlier_fraction=0.125)
-        again = spec_from_text(spec_to_text(spec))
+        again = spec_from_text(record_to_text(spec))
         assert again == spec
 
     def test_unknown_key_rejected(self):
