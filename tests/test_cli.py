@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -145,12 +146,18 @@ def test_single_cluster_losses_written_as_zero(tmp_path):
 
 
 def test_train_single_memory_tagged(data_dir, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(train_args(data_dir, out, ["n_memories=1"])) == 0
-    captured = capsys.readouterr().out
-    assert "baseline-matching" in captured
-    report = (out / "report.json").read_text()
-    assert "baseline-matching" in report
+    cmc_baseline = ["use_matching=false", "gmm_weighting=false", "lambda_intra=0", "lambda_inter=0"]
+    for name, overrides, tags in (
+        ("single", ["n_memories=1"], ["baseline-matching"]),
+        ("cmc", ["n_memories=1", *cmc_baseline], ["baseline-matching", "cmc-baseline"]),
+    ):
+        out = tmp_path / name
+        assert main(train_args(data_dir, out, overrides)) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert [line for line in lines if line.startswith("configuration tags")] == [
+            "configuration tags: " + ", ".join(tags)
+        ]
+        assert json.loads((out / "report.json").read_text())["tags"] == tags
 
 
 def test_train_overrides_echoed_in_report(data_dir, tmp_path):
@@ -452,7 +459,12 @@ def test_assignment_csv_visible_first_when_flipped(tmp_path):
         "per_id_visible=2", "per_id_infrared=2", "n_memories=2", "seed=0",
     ]
     assert main(args) == 0
-    assert "matching flipped" in (out / "report.json").read_text()
+    flip = "matching flipped (visible clusters 1 < infrared 2); infrared labels were transferred into the visible space"
+    assert json.loads((out / "report.json").read_text())["notes"] == [
+        f"epoch 1: {flip}",
+        "epoch 1: only 1 shared labels for batch_ids=2 (shortfall 1)",
+        f"epoch 2: {flip}",
+    ]
     lines = (out / "assignment.csv").read_text().strip().split("\n")
     assert lines[0] == "visible_cluster,infrared_cluster,cost"
     assert [line.split(",")[:2] for line in lines[1:]] == [["0", "1"]]
