@@ -1,10 +1,11 @@
 """Command line entry point: generate / train / eval / ari / sweep.
 
 This module writes every run output: ``train --out``'s history.csv,
-metrics.csv, report.json, final embeddings, assignment.csv and
-confidence_*.csv, ``eval``'s eval.csv, ``sweep``'s sweep.csv, and the
-tables on stdout.  The library modules only compute; the formats read back
-in (embeddings, configs, specs) live in ``dataio``.
+metrics.csv, report.json (with its configuration tags and notes), final
+embeddings, assignment.csv and confidence_*.csv, ``eval``'s eval.csv,
+``sweep``'s sweep.csv, and the tables on stdout.  The library modules only
+compute and return typed records; the formats read back in (embeddings,
+configs, specs) live in ``dataio``.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 runtime diagnostic (e.g. clustering collapse).
@@ -149,12 +150,38 @@ def _confidence_csv(losses: IdLossVector, weights: ConfidenceWeights) -> str:
     return _csv(("loss", "weight"), zip(_floats(losses.losses[keep]), _floats(weights.w[keep])))
 
 
+def config_tags(cfg: PipelineConfig) -> tuple[str, ...]:
+    tags = []
+    if cfg.n_memories == 1:
+        tags.append("baseline-matching")
+    if not cfg.use_matching and cfg.lambda_intra == 0 and cfg.lambda_inter == 0 and not cfg.gmm_weighting:
+        tags.append("cmc-baseline")
+    return tuple(tags)
+
+
+def _notes(epoch: pipeline.EpochSummary, batch_ids: int) -> list[str]:
+    """An epoch's flipped matching, then its PK shortfall, as report lines."""
+    notes = []
+    if epoch.flipped:
+        notes.append(
+            f"epoch {epoch.epoch}: matching flipped (visible clusters {epoch.clusters_v_raw} < infrared "
+            f"{epoch.clusters_r_raw}); infrared labels were transferred into the visible space"
+        )
+    if epoch.shortfall:
+        notes.append(
+            f"epoch {epoch.epoch}: only {batch_ids - epoch.shortfall} shared labels for batch_ids={batch_ids} "
+            f"(shortfall {epoch.shortfall})"
+        )
+    return notes
+
+
 def _report_dict(result: pipeline.TrainingResult) -> dict:
     final = result.final.metrics
+    epochs = (*result.history, pipeline.EpochSummary.of(result.final))
     report = {
         "config": asdict(result.config),
-        "tags": list(result.tags),
-        "notes": [n for state in (*result.history, result.final) for n in state.notes],
+        "tags": list(config_tags(result.config)),
+        "notes": [n for epoch in epochs for n in _notes(epoch, result.config.batch_ids)],
         "epochs_run": len(result.history),
     }
     if final is not None:
@@ -215,8 +242,9 @@ def cmd_train(args) -> int:
     if out:
         _write_training_outputs(result, out)
         print(f"wrote training outputs to {args.out}")
-    if result.tags:
-        print("configuration tags: " + ", ".join(result.tags))
+    tags = config_tags(cfg)
+    if tags:
+        print("configuration tags: " + ", ".join(tags))
     _print_metrics(result)
     return 0
 

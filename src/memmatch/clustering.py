@@ -6,11 +6,13 @@ with one blocked sweep over the joint features (row blocks of the
 similarity matrix, never the whole N x N matrix) and takes the visible and
 infrared graphs as its v-v and r-r pairs.  One vectorised labeller turns a
 pair list into DBSCAN labels with the classic discovery-order numbering.
-``dbscan`` keeps the precomputed-matrix interface for callers with their
-own metric.  Memories are plain per-cluster means.  Sub-clustering splits
-each cluster into up to ``n`` sub-memories with a deterministic k-means
-(farthest-point init, Lloyd iterations) that runs all clusters of one
-member count at once, stacked, with the arithmetic of a per-cluster run.
+``dbscan``, ``pairwise_cosine_distance`` and ``DistanceMatrix`` keep the
+precomputed-matrix path; no run takes it, and it stays only for the tests'
+oracle path and the benchmark's hooks.  Memories are plain per-cluster
+means.  Sub-clustering splits each cluster into up to ``n`` sub-memories
+with a deterministic k-means (farthest-point init, Lloyd iterations) that
+runs all clusters of one member count at once, stacked, with the
+arithmetic of a per-cluster run.
 """
 from __future__ import annotations
 

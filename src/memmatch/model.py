@@ -188,12 +188,6 @@ class PseudoLabeling:
         object.__setattr__(self, "_order", _frozen(np.argsort(lab, kind="stable")))
         object.__setattr__(self, "_offsets", _frozen(np.concatenate([[0], np.cumsum(sizes)])))
 
-    @classmethod
-    def from_labels(cls, scope: str, labels) -> "PseudoLabeling":
-        arr = np.asarray(labels, dtype=np.int64)
-        count = int(arr.max()) + 1 if arr.size and arr.max() >= 0 else 0
-        return cls(scope=scope, labels=arr, cluster_count=count)
-
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 

@@ -12,14 +12,12 @@ unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .model import MemoryBank, NOISE_LABEL, _read_only
-
-REPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,50 +50,27 @@ class GradientBuffer:
 
 @dataclass(frozen=True)
 class LossReport:
-    """All loss terms of one evaluation; composition identities are enforced
-    at construction (l_cmc = l_v+l_r+l_vr, l_sca = weighted sum, l_overall =
-    l_cmc + l_sca)."""
+    """All loss terms of one evaluation.  The composites are derived at
+    construction: l_cmc = l_v + l_r + l_vr, l_sca = lambda_intra l_intra +
+    lambda_inter l_inter and l_overall = l_cmc + l_sca.  The epoch schedule
+    is the caller's: a term not yet started comes in as 0."""
 
     l_v: float
     l_r: float
     l_vr: float
-    l_cmc: float
+    l_cmc: float = field(init=False)
     l_intra: float
     l_inter: float
-    l_sca: float
-    l_overall: float
+    l_sca: float = field(init=False)
+    l_overall: float = field(init=False)
+    lambda_intra: InitVar[float]
+    lambda_inter: InitVar[float]
 
-    def __post_init__(self):
-        if abs(self.l_cmc - (self.l_v + self.l_r + self.l_vr)) > REPORT_TOL:
-            raise ValueError("l_cmc must equal l_v + l_r + l_vr")
-        if abs(self.l_overall - (self.l_cmc + self.l_sca)) > REPORT_TOL:
-            raise ValueError("l_overall must equal l_cmc + l_sca")
-
-
-def compose_report(
-    l_v: float,
-    l_r: float,
-    l_vr: float,
-    l_intra: float,
-    l_inter: float,
-    lambda_intra: float,
-    lambda_inter: float,
-) -> LossReport:
-    """Combine raw loss terms into the report: l_cmc = l_v + l_r + l_vr and
-    l_sca = lambda_intra l_intra + lambda_inter l_inter.  The epoch schedule
-    is the caller's: a term not yet started comes in as 0."""
-    l_cmc = l_v + l_r + l_vr
-    l_sca = lambda_intra * l_intra + lambda_inter * l_inter
-    return LossReport(
-        l_v=l_v,
-        l_r=l_r,
-        l_vr=l_vr,
-        l_cmc=l_cmc,
-        l_intra=l_intra,
-        l_inter=l_inter,
-        l_sca=l_sca,
-        l_overall=l_cmc + l_sca,
-    )
+    def __post_init__(self, lambda_intra: float, lambda_inter: float):
+        l_cmc = self.l_v + self.l_r + self.l_vr
+        l_sca = lambda_intra * self.l_intra + lambda_inter * self.l_inter
+        for name, value in (("l_cmc", l_cmc), ("l_sca", l_sca), ("l_overall", l_cmc + l_sca)):
+            object.__setattr__(self, name, value)
 
 
 def _per_batch(values: np.ndarray):

@@ -50,7 +50,6 @@ from .objective import (
     GradientBuffer,
     LossReport,
     cluster_nce,
-    compose_report,
     inter_loss,
     intra_alignment,
 )
@@ -95,7 +94,8 @@ class EpochState:
     ``labels_*_raw`` each modality's own clustering.  ``labels_v``/``labels_r``
     and the weighted banks ``wbank_*`` live in the shared label space after
     matching (``assignment`` is None when matching is off); ``losses`` are
-    the per-batch means (zeros for an evaluation-only pass).
+    the per-batch means and ``shortfall`` how many labels each PK batch fell
+    short of ``cfg.batch_ids`` (zeros for an evaluation-only pass).
     """
 
     epoch: int
@@ -118,7 +118,7 @@ class EpochState:
     wbank_joint: MemoryBank
     losses: LossReport
     metrics: MetricReport | None
-    notes: tuple[str, ...]
+    shortfall: int
 
     @property
     def flipped(self) -> bool:
@@ -128,16 +128,22 @@ class EpochState:
 
 @dataclass(frozen=True)
 class EpochSummary:
-    """What ``TrainingResult.history`` keeps of a training epoch."""
+    """What ``TrainingResult.history`` keeps of a training epoch: with its
+    losses and metrics, each modality's own cluster count before matching,
+    the matching orientation and the PK shortfall."""
 
     epoch: int
     losses: LossReport
     metrics: MetricReport | None
-    notes: tuple[str, ...]
+    clusters_v_raw: int
+    clusters_r_raw: int
+    flipped: bool
+    shortfall: int
 
     @classmethod
     def of(cls, state: EpochState) -> EpochSummary:
-        return cls(epoch=state.epoch, losses=state.losses, metrics=state.metrics, notes=state.notes)
+        counts = state.labels_v_raw.cluster_count, state.labels_r_raw.cluster_count
+        return cls(state.epoch, state.losses, state.metrics, *counts, state.flipped, state.shortfall)
 
 
 class TrainableEmbeddings:
@@ -364,7 +370,6 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
                 f"samples, dbscan_eps={cfg.dbscan_eps}, dbscan_min_samples={cfg.dbscan_min_samples})"
             )
 
-    notes: tuple[str, ...] = ()
     assignment = None
     labels_v, labels_r = labels_v_raw, labels_r_raw
     if cfg.use_matching:
@@ -373,12 +378,6 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
         )
         assignment = solve_assignment(cost)
         labels_v, labels_r = transfer_labels(labels_v_raw, labels_r_raw, assignment)
-        if assignment.flipped:
-            notes = (
-                f"epoch {epoch}: matching flipped (visible clusters "
-                f"{labels_v_raw.cluster_count} < infrared {labels_r_raw.cluster_count}); "
-                "infrared labels were transferred into the visible space",
-            )
     id_v, conf_v, wbank_v = _weigh(visible, labels_v, cfg)
     id_r, conf_r, wbank_r = _weigh(infrared, labels_r, cfg)
     id_vr, conf_vr, wbank_joint = _weigh(concat_sets(visible, infrared), labels_joint, cfg)
@@ -401,9 +400,9 @@ def _analyze(trainable: TrainableEmbeddings, cfg: PipelineConfig, epoch: int) ->
         wbank_v=wbank_v,
         wbank_r=wbank_r,
         wbank_joint=wbank_joint,
-        losses=compose_report(0.0, 0.0, 0.0, 0.0, 0.0, cfg.lambda_intra, cfg.lambda_inter),
+        losses=LossReport(0.0, 0.0, 0.0, 0.0, 0.0, cfg.lambda_intra, cfg.lambda_inter),
         metrics=_metric_report(visible, infrared, labels_v, labels_r),
-        notes=notes,
+        shortfall=0,
     )
 
 
@@ -553,12 +552,6 @@ def run_epoch(
     n_vis, n_inf = len(state.visible), len(state.infrared)
     n_batches = batches_per_epoch(cfg, n_vis, n_inf)
     draws = [pk_sample(state.labels_v, state.labels_r, cfg, sampler) for _ in range(n_batches)]
-    notes: tuple[str, ...] = ()
-    _, _, used, shortfall = draws[0]  # the same for every batch: the labels are fixed
-    if shortfall:
-        notes = (
-            f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} (shortfall {shortfall})",
-        )
     vis, inf = np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
     rows = np.concatenate([vis, n_vis + inf], axis=1)
     noise = np.argwhere(state.labels_joint.labels[rows] < 0)
@@ -589,8 +582,9 @@ def run_epoch(
 
     # summed in batch order, from +0.0 as a sequential sum starts
     means = np.add.reduce(batches.losses, axis=0, initial=0.0) / n_batches
-    losses = compose_report(*means.tolist(), cfg.lambda_intra, cfg.lambda_inter)
-    return replace(state, losses=losses, notes=state.notes + notes)
+    losses = LossReport(*means.tolist(), cfg.lambda_intra, cfg.lambda_inter)
+    # the same for every batch: the labels are fixed
+    return replace(state, losses=losses, shortfall=draws[0][3])
 
 
 @dataclass(frozen=True)
@@ -600,16 +594,6 @@ class TrainingResult:
     config: PipelineConfig
     history: tuple[EpochSummary, ...]
     final: EpochState
-    tags: tuple[str, ...]
-
-
-def config_tags(cfg: PipelineConfig) -> tuple[str, ...]:
-    tags = []
-    if cfg.n_memories == 1:
-        tags.append("baseline-matching")
-    if not cfg.use_matching and cfg.lambda_intra == 0 and cfg.lambda_inter == 0 and not cfg.gmm_weighting:
-        tags.append("cmc-baseline")
-    return tuple(tags)
 
 
 def check_inputs(visible: EmbeddingSet, infrared: EmbeddingSet, cfg: PipelineConfig) -> None:
@@ -651,7 +635,7 @@ def run_training(
         EpochSummary.of(run_epoch(trainable, cfg, epoch, sampler, train=True)) for epoch in range(1, cfg.epochs + 1)
     )
     final = run_epoch(trainable, cfg, cfg.epochs + 1, sampler, train=False)
-    return TrainingResult(config=cfg, history=history, final=final, tags=config_tags(cfg))
+    return TrainingResult(config=cfg, history=history, final=final)
 
 
 def ablation_configs(base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:

@@ -14,8 +14,17 @@ from fractions import Fraction
 import numpy as np
 
 from memmatch.metrics import RANKS, RetrievalReport
-from memmatch.objective import cluster_nce, compose_report, inter_loss, intra_alignment
+from memmatch.model import PseudoLabeling
+from memmatch.objective import LossReport, cluster_nce, inter_loss, intra_alignment
 from memmatch.pipeline import TrainingDivergedError, batches_per_epoch, pk_sample, run_epoch
+
+
+def labeling(scope: str, labels) -> PseudoLabeling:
+    """A labeling of ``labels`` (-1 noise) whose cluster count is the
+    largest label plus one, 0 when every sample is noise."""
+    arr = np.asarray(labels, dtype=np.int64)
+    count = int(arr.max()) + 1 if arr.size and arr.max() >= 0 else 0
+    return PseudoLabeling(scope=scope, labels=arr, cluster_count=count)
 
 
 def naive_dbscan(dist: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
@@ -371,8 +380,8 @@ def naive_pk_sample(vis_labels, inf_labels, cfg, rng):
 def sequential_epoch(trainable, cfg, epoch, sampler):
     """One training epoch with one SGD step per PK batch, in order: each
     batch is sampled, read, differentiated and stepped before the next one
-    is drawn.  Returns the epoch's state like ``run_epoch``; a diverged row
-    raises ``TrainingDivergedError`` naming the epoch and the batch."""
+    is drawn.  Returns the epoch's state like ``run_epoch``, with the last
+    batch's shortfall; a diverged row raises ``TrainingDivergedError`` naming the epoch and the batch."""
     state = run_epoch(trainable, cfg, epoch, sampler, train=False)
     n_vis, n_inf = len(state.visible), len(state.infrared)
     do_intra = epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0
@@ -380,14 +389,8 @@ def sequential_epoch(trainable, cfg, epoch, sampler):
     n_batches = batches_per_epoch(cfg, n_vis, n_inf)
     terms = ("l_v", "l_r", "l_vr", "l_intra", "l_inter")
     sums = dict.fromkeys(terms, 0.0)
-    notes = []
     for batch in range(1, n_batches + 1):
         vis_idx, inf_idx, used, shortfall = pk_sample(state.labels_v, state.labels_r, cfg, sampler)
-        if shortfall and not notes:
-            notes.append(
-                f"epoch {epoch}: only {used.size} shared labels for batch_ids={cfg.batch_ids} "
-                f"(shortfall {shortfall})"
-            )
         rows_v, local_v = np.unique(vis_idx, return_inverse=True)
         rows_r, local_r = np.unique(inf_idx, return_inverse=True)
         try:
@@ -434,9 +437,9 @@ def sequential_epoch(trainable, cfg, epoch, sampler):
         for term, value in zip(terms, (l_v, l_r, l_vr, l_intra, l_inter)):
             sums[term] += value
 
-    losses = compose_report(
+    losses = LossReport(
         **{term: total / n_batches for term, total in sums.items()},
         lambda_intra=cfg.lambda_intra,
         lambda_inter=cfg.lambda_inter,
     )
-    return replace(state, losses=losses, notes=state.notes + tuple(notes))
+    return replace(state, losses=losses, shortfall=shortfall)

@@ -15,7 +15,7 @@ from memmatch.dataio import record_to_text, write_embeddings
 from memmatch.matching import solve_assignment
 from memmatch.metrics import RetrievalReport
 from memmatch.model import EmbeddingSet
-from memmatch.objective import compose_report
+from memmatch.objective import LossReport
 from memmatch.reliability import IdLossVector, confidence, fit_gmm2
 from memmatch.synth import SynthSpec
 
@@ -413,12 +413,31 @@ def test_import_loads_no_scipy():
 
 
 def test_history_csv_row_format():
-    report = compose_report(0.5, 0.25, 0.25, 0.0, 0.0, 0.5, 0.05)
-    summary = pipeline.EpochSummary(epoch=3, losses=report, metrics=None, notes=())
+    report = LossReport(0.5, 0.25, 0.25, 0.0, 0.0, 0.5, 0.05)
+    summary = pipeline.EpochSummary(
+        epoch=3, losses=report, metrics=None, clusters_v_raw=2, clusters_r_raw=2, flipped=False, shortfall=0
+    )
     lines = cli._history_csv([summary]).split("\n")
     assert lines[0] == "epoch,l_v,l_r,l_vr,l_cmc,l_intra,l_inter,l_sca,l_overall"
     assert lines[1].startswith("3,0.5,0.25,0.25,1.0,")
     assert lines[1:] == ["3,0.5,0.25,0.25,1.0,0.0,0.0,0.0,1.0", ""]
+
+
+def test_report_notes_from_typed_facts():
+    # the flip line, then the shortfall line; an epoch with neither writes none
+    losses = LossReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.05)
+    flipped = pipeline.EpochSummary(
+        epoch=4, losses=losses, metrics=None, clusters_v_raw=3, clusters_r_raw=5, flipped=True, shortfall=4
+    )
+    assert cli._notes(flipped, 10) == [
+        "epoch 4: matching flipped (visible clusters 3 < infrared 5); "
+        "infrared labels were transferred into the visible space",
+        "epoch 4: only 6 shared labels for batch_ids=10 (shortfall 4)",
+    ]
+    plain = pipeline.EpochSummary(
+        epoch=1, losses=losses, metrics=None, clusters_v_raw=5, clusters_r_raw=5, flipped=False, shortfall=0
+    )
+    assert cli._notes(plain, 10) == []
 
 
 def test_metric_csv_row():

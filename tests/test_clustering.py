@@ -18,10 +18,9 @@ from memmatch.model import (
     ConfidenceWeights,
     EmbeddingSet,
     PipelineConfig,
-    PseudoLabeling,
     normalize_rows,
 )
-from reference import _farthest_point_seeds, naive_dbscan, naive_kmeans, naive_sub_cluster, occupied
+from reference import _farthest_point_seeds, labeling, naive_dbscan, naive_kmeans, naive_sub_cluster, occupied
 
 
 def unit_circle(angles_deg):
@@ -299,14 +298,14 @@ class TestLabelSemantics:
 class TestBuildMemory:
     def test_plain_mean(self):
         es = make_set([[1.0, 0.0], [0.0, 1.0]])
-        labels = PseudoLabeling.from_labels("v", [0, 0])
+        labels = labeling("v", [0, 0])
         bank = build_memory(es, labels)
         assert np.allclose(bank.centroids, [[0.5, 0.5]])
         assert bank.counts.tolist() == [2]
 
     def test_weighted_keeps_member_count_divisor(self):
         es = make_set([[1.0, 0.0], [0.0, 1.0]])
-        labels = PseudoLabeling.from_labels("v", [0, 0])
+        labels = labeling("v", [0, 0])
         weights = ConfidenceWeights(scope="v", w=np.array([1.0, 0.0]), gmm=None)
         bank = build_memory(es, labels, weights)
         assert np.allclose(bank.centroids, [[0.5, 0.0]])
@@ -314,7 +313,7 @@ class TestBuildMemory:
     def test_unit_weights_equal_unweighted_exactly(self):
         rng = np.random.default_rng(5)
         es = make_set(random_points(rng, 17, 6))
-        labels = PseudoLabeling.from_labels("v", rng.integers(0, 3, 17))
+        labels = labeling("v", rng.integers(0, 3, 17))
         ones = ConfidenceWeights(scope="v", w=np.ones(17), gmm=None)
         plain = build_memory(es, labels)
         weighted = build_memory(es, labels, ones)
@@ -322,7 +321,7 @@ class TestBuildMemory:
 
     def test_noise_excluded(self):
         es = make_set([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        labels = PseudoLabeling.from_labels("v", [0, 0, -1])
+        labels = labeling("v", [0, 0, -1])
         bank = build_memory(es, labels)
         assert np.allclose(bank.centroids, [[0.5, 0.5]])
 
@@ -332,7 +331,7 @@ class TestSubCluster:
         es = make_set([[1.0, 0.0], [0.99, 0.14], [0.0, 1.0], [0.14, 0.99]])
         feats = normalize_rows(es.features)
         es = make_set(feats)
-        labels = PseudoLabeling.from_labels("v", [0, 0, 0, 0])
+        labels = labeling("v", [0, 0, 0, 0])
         bank = sub_cluster(es, labels, n=2)
         active = occupied(bank, 0)
         expected = {tuple(np.round(feats[:2].mean(0), 12)), tuple(np.round(feats[2:].mean(0), 12))}
@@ -342,21 +341,21 @@ class TestSubCluster:
     def test_n1_equals_memory_bank(self):
         rng = np.random.default_rng(11)
         es = make_set(random_points(rng, 23, 5))
-        labels = PseudoLabeling.from_labels("v", rng.integers(0, 4, 23))
+        labels = labeling("v", rng.integers(0, 4, 23))
         single = sub_cluster(es, labels, n=1)
         bank = build_memory(es, labels)
         assert np.abs(single.memories[:, 0, :] - bank.centroids).max() <= 1e-9
 
     def test_small_cluster_occupancy(self):
         es = make_set(normalize_rows(np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])))
-        labels = PseudoLabeling.from_labels("v", [0, 0, 0])
+        labels = labeling("v", [0, 0, 0])
         bank = sub_cluster(es, labels, n=4)
         assert int((bank.occupancy[0] > 0).sum()) == 3
         assert int((bank.occupancy[0] == 0).sum()) == 1
 
     def test_duplicate_points_leave_cells_empty(self):
         es = make_set(np.tile([1.0, 0.0], (5, 1)))
-        labels = PseudoLabeling.from_labels("v", [0] * 5)
+        labels = labeling("v", [0] * 5)
         bank = sub_cluster(es, labels, n=3)
         assert int((bank.occupancy[0] > 0).sum()) == 1
         assert bank.occupancy[0].sum() == 5
@@ -383,7 +382,7 @@ class TestSubCluster:
         feats = rng.standard_normal((labels.size, dim))
         if coarse:
             feats = np.round(feats)
-        bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), n)
+        bank = sub_cluster(make_set(feats), labeling("v", labels), n)
         memories, occupancy = naive_sub_cluster(feats, labels, n)
         assert np.array_equal(bank.memories, memories)
         assert np.array_equal(bank.occupancy, occupancy)
@@ -405,7 +404,7 @@ class TestSubCluster:
         rng = np.random.default_rng(12)
         feats = np.concatenate([rng.standard_normal((19, 2)), built, rng.standard_normal((19, 2))])
         labels = np.repeat(np.arange(3), 19)
-        bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), 3)
+        bank = sub_cluster(make_set(feats), labeling("v", labels), 3)
         memories, occupancy = naive_sub_cluster(feats, labels, 3)
         assert np.array_equal(bank.memories, memories)
         assert np.array_equal(bank.occupancy, occupancy)
@@ -418,7 +417,7 @@ class TestSubCluster:
         rng.shuffle(labels)
         feats = random_points(rng, labels.size, 64)
         assert 30 * 40 * 4 * 64 * 8 > model.BLOCK_BYTES
-        bank = sub_cluster(make_set(feats), PseudoLabeling.from_labels("v", labels), 4)
+        bank = sub_cluster(make_set(feats), labeling("v", labels), 4)
         memories, occupancy = naive_sub_cluster(feats, labels, 4)
         assert np.array_equal(bank.memories, memories)
         assert np.array_equal(bank.occupancy, occupancy)
@@ -433,7 +432,7 @@ class TestSubCluster:
     def test_occupied_submemories_are_member_means(self):
         rng = np.random.default_rng(3)
         es = make_set(random_points(rng, 30, 4))
-        labels = PseudoLabeling.from_labels("v", rng.integers(0, 3, 30))
+        labels = labeling("v", rng.integers(0, 3, 30))
         bank = sub_cluster(es, labels, n=3)
         for p in range(3):
             members = es.features[labels.members(p)]

@@ -10,8 +10,8 @@ from memmatch.matching import (
     solve_assignment,
     transfer_labels,
 )
-from memmatch.model import EmbeddingSet, MultiMemoryBank, PseudoLabeling, normalize_rows
-from reference import brute_force_assignment, naive_multi_memory_cost
+from memmatch.model import EmbeddingSet, MultiMemoryBank, normalize_rows
+from reference import brute_force_assignment, labeling, naive_multi_memory_cost
 
 
 def bank_from_lists(clusters, scope="v", n=None):
@@ -147,7 +147,7 @@ class TestMultiMemoryMechanism:
         visible, infrared = self.crossed_views()
         truth = [0] * 10 + [1] * 10
         banks = (
-            sub_cluster(es, PseudoLabeling.from_labels(scope, truth), n_memories)
+            sub_cluster(es, labeling(scope, truth), n_memories)
             for es, scope in ((visible, "v"), (infrared, "r"))
         )
         assert solve_assignment(multi_memory_cost(*banks)).q.tolist() == matched
@@ -241,8 +241,8 @@ class TestSolveAssignment:
 
 class TestTransferLabels:
     def test_identity_assignment_keeps_labels(self):
-        vis = PseudoLabeling.from_labels("v", [0, 0, 1, 1])
-        inf = PseudoLabeling.from_labels("r", [0, 1, 1])
+        vis = labeling("v", [0, 0, 1, 1])
+        inf = labeling("r", [0, 1, 1])
         a = solve_assignment(np.array([[0.0, 9.0], [9.0, 0.0]]))
         out, inf_out = transfer_labels(vis, inf, a)
         assert out.labels.tolist() == [0, 0, 1, 1]
@@ -250,24 +250,24 @@ class TestTransferLabels:
         assert inf_out is inf
 
     def test_cross_assignment_relabels(self):
-        vis = PseudoLabeling.from_labels("v", [0, 0, 1, -1])
-        inf = PseudoLabeling.from_labels("r", [0, 1])
+        vis = labeling("v", [0, 0, 1, -1])
+        inf = labeling("r", [0, 1])
         a = solve_assignment(np.array([[9.0, 0.0], [0.0, 9.0]]))
         out, _ = transfer_labels(vis, inf, a)
         assert out.labels.tolist() == [1, 1, 0, -1]
 
     def test_unmatched_cluster_gets_fresh_label(self):
-        vis = PseudoLabeling.from_labels("v", [0, 1, 2, 0, 1, 2])
-        inf = PseudoLabeling.from_labels("r", [0, 1])
+        vis = labeling("v", [0, 1, 2, 0, 1, 2])
+        inf = labeling("r", [0, 1])
         cost = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
-        out, _ = transfer_labels(vis, PseudoLabeling.from_labels("r", [0, 1]), solve_assignment(cost))
+        out, _ = transfer_labels(vis, labeling("r", [0, 1]), solve_assignment(cost))
         assert out.labels.tolist() == [0, 1, 2, 0, 1, 2]
         assert out.cluster_count == 3
         del inf
 
     def test_fresh_labels_in_ascending_original_order(self):
-        vis = PseudoLabeling.from_labels("v", [0, 1, 2, 3, 3, 2, 1, 0])
-        inf = PseudoLabeling.from_labels("r", [0, 0])
+        vis = labeling("v", [0, 1, 2, 3, 3, 2, 1, 0])
+        inf = labeling("r", [0, 0])
         cost = np.array([[5.0], [5.0], [0.0], [5.0]])  # visible 2 <-> infrared 0
         out, _ = transfer_labels(vis, inf, solve_assignment(cost))
         assert out.labels.tolist() == [1, 2, 0, 3, 3, 0, 2, 1]
@@ -276,8 +276,8 @@ class TestTransferLabels:
     def test_partition_structure_preserved(self, seed):
         rng = np.random.default_rng(seed)
         pv, pr = 5, 3
-        vis = PseudoLabeling.from_labels("v", np.repeat(np.arange(pv), 2))
-        inf = PseudoLabeling.from_labels("r", np.arange(pr))
+        vis = labeling("v", np.repeat(np.arange(pv), 2))
+        inf = labeling("r", np.arange(pr))
         out, _ = transfer_labels(vis, inf, solve_assignment(rng.uniform(0, 1, (pv, pr))))
         before = vis.labels
         after = out.labels
@@ -286,8 +286,8 @@ class TestTransferLabels:
                 assert (before[i] == before[j]) == (after[i] == after[j])
 
     def test_transposed_moves_infrared_into_visible_space(self):
-        vis = PseudoLabeling.from_labels("v", [0, 1, -1, 1])
-        inf = PseudoLabeling.from_labels("r", [2, 0, 1, 2, -1, 0])
+        vis = labeling("v", [0, 1, -1, 1])
+        inf = labeling("r", [2, 0, 1, 2, -1, 0])
         # infrared 0 <-> visible 1, infrared 2 <-> visible 0, infrared 1 unmatched
         cost = np.array([[5.0, 9.0, 0.0], [0.0, 9.0, 5.0]])
         a = solve_assignment(cost)

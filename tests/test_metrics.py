@@ -13,8 +13,8 @@ from memmatch.metrics import (
     ari_report,
     retrieval_eval,
 )
-from memmatch.model import EmbeddingSet, PseudoLabeling, normalize_rows
-from reference import ari_pair_counting, naive_retrieval_eval
+from memmatch.model import EmbeddingSet, normalize_rows
+from reference import ari_pair_counting, labeling, naive_retrieval_eval
 
 label_lists = st.lists(st.integers(-1, 4), min_size=2, max_size=25)
 
@@ -82,8 +82,8 @@ class TestAriReport:
         vis = id_set(rng.standard_normal((len(vis_truth), 4)), vis_truth)
         inf = id_set(rng.standard_normal((len(inf_truth), 4)), inf_truth, modality="r")
         return (
-            PseudoLabeling.from_labels("v", vis_labels),
-            PseudoLabeling.from_labels("r", inf_labels),
+            labeling("v", vis_labels),
+            labeling("r", inf_labels),
             vis,
             inf,
         )

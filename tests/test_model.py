@@ -14,6 +14,7 @@ from memmatch.model import (
     normalize_rows,
     validate,
 )
+from reference import labeling
 
 
 def make_set(features, modality=None, truth=None):
@@ -76,7 +77,7 @@ class TestValidate:
 
 class TestPseudoLabeling:
     def test_from_labels_counts(self):
-        lab = PseudoLabeling.from_labels("v", [0, 1, -1, 1, 0])
+        lab = labeling("v", [0, 1, -1, 1, 0])
         assert lab.cluster_count == 2
         assert lab.members(1).tolist() == [1, 3]
         assert lab.noise_mask.tolist() == [False, False, True, False, False]
@@ -87,7 +88,7 @@ class TestPseudoLabeling:
         raw = np.asarray(raw, dtype=np.int64)
         values = np.unique(raw[raw >= 0])
         labels = np.where(raw >= 0, np.searchsorted(values, raw), -1)
-        lab = PseudoLabeling.from_labels("v", labels)
+        lab = labeling("v", labels)
         for p in range(-2, lab.cluster_count + 2):
             assert np.array_equal(lab.members(p), np.flatnonzero(labels == p))
         assert np.array_equal(lab.cluster_sizes(), np.bincount(labels[labels >= 0], minlength=lab.cluster_count))
@@ -97,7 +98,7 @@ class TestPseudoLabeling:
             PseudoLabeling(scope="v", labels=np.array([0, 2]), cluster_count=3)
 
     def test_all_noise_allowed(self):
-        lab = PseudoLabeling.from_labels("r", [-1, -1])
+        lab = labeling("r", [-1, -1])
         assert lab.cluster_count == 0
 
 

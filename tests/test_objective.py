@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from memmatch.objective import (
     _median_pair_dist,
     _sq_dists,
     cluster_nce,
-    compose_report,
     inter_loss,
     intra_alignment,
 )
@@ -304,20 +304,26 @@ class TestLeadingBatchAxes:
 
 
 class TestComposeReport:
-    def test_identities_enforced(self):
-        with pytest.raises(ValueError):
-            LossReport(
-                l_v=1.0, l_r=1.0, l_vr=1.0, l_cmc=4.0, l_intra=0.0, l_inter=0.0,
-                l_sca=0.0, l_overall=4.0,
-            )
+    def test_composites_derived(self):
+        # a composite cannot be passed in, so no report contradicts its terms
+        for composite in ("l_cmc", "l_sca", "l_overall"):
+            with pytest.raises(TypeError, match=composite):
+                LossReport(1.0, 1.0, 1.0, 0.0, 0.0, 0.5, 0.05, **{composite: 3.0})
+        rng = np.random.default_rng(11)
+        for terms in [(-0.0,) * 7, *rng.standard_normal((20, 7)).tolist()]:
+            l_v, l_r, l_vr, l_intra, l_inter, lambda_intra, lambda_inter = terms
+            l_cmc = l_v + l_r + l_vr
+            l_sca = lambda_intra * l_intra + lambda_inter * l_inter
+            want = (l_v, l_r, l_vr, l_cmc, l_intra, l_inter, l_sca, l_cmc + l_sca)
+            assert repr(astuple(LossReport(*terms))) == repr(want)  # repr tells -0.0 from 0.0
 
     def test_zero_weights_reduce_to_cmc(self):
-        report = compose_report(1.0, 1.0, 1.0, 5.0, 5.0, 0.0, 0.0)
+        report = LossReport(1.0, 1.0, 1.0, 5.0, 5.0, 0.0, 0.0)
         assert report.l_sca == 0.0
         assert report.l_overall == pytest.approx(report.l_cmc)
 
     def test_published_weights_arithmetic(self):
-        report = compose_report(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.05)
+        report = LossReport(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.05)
         assert report.l_cmc == pytest.approx(3.0)
         assert report.l_sca == pytest.approx(0.55)
         assert report.l_overall == pytest.approx(3.55)

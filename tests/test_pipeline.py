@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memmatch import pipeline
-from memmatch.cli import main
+from memmatch.cli import config_tags, main
 from memmatch.clustering import build_memory, cluster_joint
 from memmatch.dataio import write_embeddings
 from memmatch.model import EmbeddingSet, PipelineConfig, PseudoLabeling, concat_sets, normalize_rows
@@ -18,7 +18,6 @@ from memmatch.pipeline import (
     TrainingDivergedError,
     ablation_configs,
     batches_per_epoch,
-    config_tags,
     pk_sample,
     run_epoch,
     run_training,
@@ -30,6 +29,7 @@ from reference import (
     dense_sgd_replay,
     finite_difference,
     gradient_gap,
+    labeling,
     naive_inter_loss,
     naive_pk_sample,
     sequential_epoch,
@@ -84,8 +84,8 @@ def circle_set(angles_deg, modality, ids):
 class TestPkSample:
     def setup_method(self):
         rng = np.random.default_rng(0)
-        self.vis = PseudoLabeling.from_labels("v", np.repeat(np.arange(10), 6))
-        self.inf = PseudoLabeling.from_labels("r", np.repeat(np.arange(10), 5))
+        self.vis = labeling("v", np.repeat(np.arange(10), 6))
+        self.inf = labeling("r", np.repeat(np.arange(10), 5))
         self.rng = rng
 
     def test_default_composition(self):
@@ -97,8 +97,8 @@ class TestPkSample:
             assert np.all(self.vis.labels[vis_idx[:4]] >= 0)
 
     def test_replacement_when_side_short(self):
-        vis = PseudoLabeling.from_labels("v", [0, 0, 1, 1, 1, 1])
-        inf = PseudoLabeling.from_labels("r", [0, 0, 0, 0, 1, 1, 1, 1])
+        vis = labeling("v", [0, 0, 1, 1, 1, 1])
+        inf = labeling("r", [0, 0, 0, 0, 1, 1, 1, 1])
         cfg = PipelineConfig(batch_ids=2, per_id_visible=4, per_id_infrared=4)
         vis_idx, inf_idx, used, shortfall = pk_sample(vis, inf, cfg, np.random.default_rng(1))
         assert shortfall == 0
@@ -107,8 +107,8 @@ class TestPkSample:
         assert set(label0_draws.tolist()) <= {0, 1}
 
     def test_shortfall_reported(self):
-        vis = PseudoLabeling.from_labels("v", [0, 0, 1, 1])
-        inf = PseudoLabeling.from_labels("r", [0, 0, 1, 1])
+        vis = labeling("v", [0, 0, 1, 1])
+        inf = labeling("r", [0, 0, 1, 1])
         cfg = PipelineConfig(batch_ids=8)
         _, _, used, shortfall = pk_sample(vis, inf, cfg, np.random.default_rng(2))
         assert len(used) == 2 and shortfall == 6
@@ -120,8 +120,8 @@ class TestPkSample:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_noise_never_sampled(self):
-        vis = PseudoLabeling.from_labels("v", [0, 0, 0, -1, -1])
-        inf = PseudoLabeling.from_labels("r", [0, 0, -1])
+        vis = labeling("v", [0, 0, 0, -1, -1])
+        inf = labeling("r", [0, 0, -1])
         cfg = PipelineConfig(batch_ids=1, per_id_visible=4, per_id_infrared=4)
         vis_idx, inf_idx, _, _ = pk_sample(vis, inf, cfg, np.random.default_rng(3))
         assert np.all(vis.labels[vis_idx] == 0)
@@ -141,8 +141,8 @@ class TestPkSample:
         ],
     )
     def test_matches_naive_sampler(self, vis_labels, inf_labels, overrides):
-        vis = PseudoLabeling.from_labels("v", vis_labels)
-        inf = PseudoLabeling.from_labels("r", inf_labels)
+        vis = labeling("v", vis_labels)
+        inf = labeling("r", inf_labels)
         cfg = PipelineConfig(**overrides)
         fast, naive = named_stream(7, "sampler"), named_stream(7, "sampler")
         for _ in range(5):
@@ -431,7 +431,8 @@ class TestRunEpoch:
         )
         state = first_epoch(vis, inf, cfg)
         assert state.flipped and state.assignment.flipped
-        assert any("flipped" in note for note in state.notes)
+        summary = EpochSummary.of(state)
+        assert summary.flipped and (summary.clusters_v_raw, summary.clusters_r_raw) == (1, 2)
         assert state.labels_v.cluster_count == 1
         assert state.labels_r.cluster_count == 2  # relabeled into visible space + fresh
         assert np.array_equal(state.labels_v.labels, state.labels_v_raw.labels)
@@ -516,7 +517,7 @@ def train_both(vis, inf, cfg, samplers=None):
         states.append(run_epoch(grouped, cfg, epoch, s_grouped))
         want = sequential_epoch(oracle, cfg, epoch, s_oracle)
         assert repr(states[-1].losses) == repr(want.losses)  # repr tells -0.0 from 0.0
-        assert states[-1].notes == want.notes
+        assert states[-1].shortfall == want.shortfall
     assert grouped.steps == oracle.steps
     assert grouped.theta.tobytes() == oracle.theta.tobytes()
     assert grouped.velocity.tobytes() == oracle.velocity.tobytes()
@@ -549,7 +550,7 @@ class Rotation:
 
 class TestGroupedEpoch:
     """``run_epoch`` takes each dependency level of PK batches as one
-    stacked step; features, velocities, step stamps, losses and notes equal
+    stacked step; features, velocities, step stamps, losses and shortfalls equal
     those of the per-batch oracle bit for bit."""
 
     def test_joint_noise_rows_in_batches(self, monkeypatch):
@@ -591,7 +592,7 @@ class TestGroupedEpoch:
     def test_shortfall_epoch(self):
         vis, inf = generate(tiny_spec())
         state = train_both(vis, inf, tiny_cfg(batch_ids=8, per_id_visible=1, per_id_infrared=1))[1]
-        assert any("shortfall" in note for note in state.notes)
+        assert state.shortfall == 8 - min(state.labels_v.cluster_count, state.labels_r.cluster_count) > 0
 
     @pytest.mark.parametrize("sigma", ["median", 0.7])
     @pytest.mark.parametrize(
@@ -733,7 +734,7 @@ class TestRunTraining:
         b = run_training(vis, inf, from_lattice)
         assert a.history[-1].losses == b.history[-1].losses
         assert np.array_equal(a.final.visible.features, b.final.visible.features)
-        assert "cmc-baseline" in a.tags
+        assert "cmc-baseline" in config_tags(a.config)
 
     def test_weighted_banks_built_at_epoch_start(self):
         vis, inf = generate(tiny_spec())

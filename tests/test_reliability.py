@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memmatch.clustering import build_memory, sub_cluster
-from memmatch.model import EmbeddingSet, GmmFit, MemoryBank, PseudoLabeling, normalize_rows
+from memmatch.model import EmbeddingSet, GmmFit, MemoryBank, normalize_rows
 from memmatch.reliability import (
     DegenerateLossError,
     IdLossVector,
@@ -15,6 +15,7 @@ from memmatch.reliability import (
     id_loss,
     uniform_confidence,
 )
+from reference import labeling
 
 
 def make_set(features):
@@ -32,7 +33,7 @@ def loss_vector(values, excluded=None):
 class TestIdLoss:
     def test_single_cluster_zero_loss(self):
         es = make_set([[1.0, 0.0], [0.0, 1.0]])
-        labels = PseudoLabeling.from_labels("v", [0, 0])
+        labels = labeling("v", [0, 0])
         bank = build_memory(es, labels)
         out = id_loss(es, labels, bank, tau=1.0)
         assert np.allclose(out.losses, 0.0)
@@ -41,7 +42,7 @@ class TestIdLoss:
         # sample 0 sits exactly on its centroid, the other centroid is
         # orthogonal: loss = -log(e / (e + 1))
         es = make_set([[1.0, 0.0], [0.0, 1.0]])
-        labels = PseudoLabeling.from_labels("v", [0, 1])
+        labels = labeling("v", [0, 1])
         bank = build_memory(es, labels)
         out = id_loss(es, labels, bank, tau=1.0)
         assert out.losses[0] == pytest.approx(np.log1p(np.exp(-1.0)), abs=1e-12)
@@ -50,7 +51,7 @@ class TestIdLoss:
         # each sample orthogonal to its own centroid and aligned with the
         # other one: logits (0, 1) for label 0, so loss = -log(1/(1+e))
         es = make_set([[0.0, 1.0], [1.0, 0.0]])
-        labels = PseudoLabeling.from_labels("v", [0, 1])
+        labels = labeling("v", [0, 1])
         bank = MemoryBank(scope="v", centroids=np.array([[1.0, 0.0], [0.0, 1.0]]), counts=np.array([1, 1]))
         out = id_loss(es, labels, bank, tau=1.0)
         assert out.losses[0] == pytest.approx(np.log1p(np.e), abs=1e-12)
@@ -58,7 +59,7 @@ class TestIdLoss:
 
     def test_noise_flagged_excluded(self):
         es = make_set([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        labels = PseudoLabeling.from_labels("v", [0, 0, -1])
+        labels = labeling("v", [0, 0, -1])
         bank = build_memory(es, labels)
         out = id_loss(es, labels, bank, tau=0.05)
         assert out.excluded.tolist() == [False, False, True]
@@ -67,7 +68,7 @@ class TestIdLoss:
     @pytest.mark.parametrize("rows", [4, 8])
     def test_labeling_of_another_length_rejected(self, rows):
         es = make_set(np.eye(6))
-        labels = PseudoLabeling.from_labels("v", [0, 1] * (rows // 2))
+        labels = labeling("v", [0, 1] * (rows // 2))
         bank = MemoryBank(scope="v", centroids=np.eye(6)[:2], counts=np.array([rows // 2] * 2))
         # the memory builders that read the labeling check it the same way
         for call in (lambda: id_loss(es, labels, bank, tau=0.5), lambda: build_memory(es, labels),
@@ -82,7 +83,7 @@ class TestIdLoss:
         n, p, d = 2000, 200, 32
         es = make_set(normalize_rows(rng.standard_normal((n, d))))
         raw = np.concatenate([np.arange(p), rng.integers(-1, p, n - p)])
-        labels = PseudoLabeling.from_labels("v", raw)
+        labels = labeling("v", raw)
         bank = MemoryBank(scope="v", centroids=normalize_rows(rng.standard_normal((p, d))), counts=np.ones(p, int))
         tracemalloc.start()
         try:
@@ -101,11 +102,11 @@ class TestIdLoss:
         es = make_set(feats)
         raw = rng.integers(0, 3, 12)
         raw[:3] = [0, 1, 2]  # keep every cluster occupied
-        labels = PseudoLabeling.from_labels("v", raw)
+        labels = labeling("v", raw)
         bank = build_memory(es, labels)
         base = id_loss(es, labels, bank, tau=0.3)
         perm = np.array([2, 0, 1])
-        permuted_labels = PseudoLabeling.from_labels("v", perm[raw])
+        permuted_labels = labeling("v", perm[raw])
         permuted_bank = build_memory(es, permuted_labels)
         out = id_loss(es, permuted_labels, permuted_bank, tau=0.3)
         assert np.allclose(out.losses, base.losses, atol=1e-12)

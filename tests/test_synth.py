@@ -3,10 +3,10 @@ import pytest
 
 from memmatch.clustering import dbscan, pairwise_cosine_distance, sub_cluster
 from memmatch.metrics import ari
-from memmatch.model import PseudoLabeling, validate
+from memmatch.model import validate
 from memmatch.dataio import record_to_text
 from memmatch.synth import SpecError, SynthSpec, generate, spec_from_text
-from reference import occupied
+from reference import labeling, occupied
 
 
 def small_spec(**overrides):
@@ -69,7 +69,7 @@ class TestGenerate:
             seed=5,
         )
         vis, _ = generate(spec)
-        labels = PseudoLabeling.from_labels("v", vis.true_identity)
+        labels = labeling("v", vis.true_identity)
         bank = sub_cluster(vis, labels, n=3)
         for p in range(3):
             members = vis.features[labels.members(p)]
