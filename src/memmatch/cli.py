@@ -159,29 +159,29 @@ def config_tags(cfg: PipelineConfig) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def _notes(epoch: pipeline.EpochSummary, batch_ids: int) -> list[str]:
+def _notes(s: pipeline.EpochSummary, batch_ids: int) -> list[str]:
     """An epoch's flipped matching, then its PK shortfall, as report lines."""
     notes = []
-    if epoch.flipped:
+    if s.flipped:
         notes.append(
-            f"epoch {epoch.epoch}: matching flipped (visible clusters {epoch.clusters_v_raw} < infrared "
-            f"{epoch.clusters_r_raw}); infrared labels were transferred into the visible space"
+            f"epoch {s.epoch}: matching flipped (visible clusters {s.clusters_v_raw} < infrared "
+            f"{s.clusters_r_raw}); infrared labels were transferred into the visible space"
         )
-    if epoch.shortfall:
+    if s.shortfall:
         notes.append(
-            f"epoch {epoch.epoch}: only {batch_ids - epoch.shortfall} shared labels for batch_ids={batch_ids} "
-            f"(shortfall {epoch.shortfall})"
+            f"epoch {s.epoch}: only {batch_ids - s.shortfall} shared labels for batch_ids={batch_ids} "
+            f"(shortfall {s.shortfall})"
         )
     return notes
 
 
 def _report_dict(result: pipeline.TrainingResult) -> dict:
     final = result.final.metrics
-    epochs = (*result.history, pipeline.EpochSummary.of(result.final))
+    summaries = (*result.history, pipeline.EpochSummary.of(result.final))
     report = {
         "config": asdict(result.config),
         "tags": list(config_tags(result.config)),
-        "notes": [n for epoch in epochs for n in _notes(epoch, result.config.batch_ids)],
+        "notes": [n for s in summaries for n in _notes(s, result.config.batch_ids)],
         "epochs_run": len(result.history),
     }
     if final is not None:

@@ -381,7 +381,8 @@ def sequential_epoch(trainable, cfg, epoch, sampler):
     """One training epoch with one SGD step per PK batch, in order: each
     batch is sampled, read, differentiated and stepped before the next one
     is drawn.  Returns the epoch's state like ``run_epoch``, with the last
-    batch's shortfall; a diverged row raises ``TrainingDivergedError`` naming the epoch and the batch."""
+    batch's shortfall; a diverged row raises ``TrainingDivergedError``
+    naming the epoch and the batch."""
     state = run_epoch(trainable, cfg, epoch, sampler, train=False)
     n_vis, n_inf = len(state.visible), len(state.infrared)
     do_intra = epoch >= cfg.intra_start_epoch and cfg.lambda_intra > 0
